@@ -1,6 +1,7 @@
 // Table 1: "Selection of r for weak scaling experiments" — the per-level
 // group counts chosen by the level-configuration rule for k ∈ {1, 2, 3}
-// and p ∈ {512, 2048, 8192, 32768}.
+// and every p of bench::paper_ps(): the paper's 512, 2048, 8192 and 32768,
+// plus 131072, which the paper's table does not list.
 //
 // The rule reproduces the paper's multi-level rows exactly (last level 16 =
 // node-internal, first levels split p/16 into near-equal powers of two).
@@ -20,7 +21,10 @@ int main(int argc, char** argv) {
   const auto flags = bench::Flags::parse(argc, argv);
 
   std::printf("Table 1: selection of r (groups per level)\n\n");
-  harness::Table table({"k", "level", "p=512", "p=2048", "p=8192", "p=32768"});
+  std::vector<std::string> header{"k", "level"};
+  for (std::int64_t p : bench::paper_ps())
+    header.push_back("p=" + std::to_string(p));
+  harness::Table table(std::move(header));
   for (int k = 1; k <= 3; ++k) {
     std::vector<std::vector<int>> configs;
     for (std::int64_t p : bench::paper_ps())

@@ -70,6 +70,9 @@ void hqs_level(net::Comm& comm, std::vector<T>& data,
                                   comm.rank(),
                                   static_cast<std::int64_t>(idx)});
   }
+  // allgather_merge merges sorted runs, so the sample is sorted first.
+  std::sort(sample.begin(), sample.end(), tless);
+  comm.charge(machine.sort_cost(static_cast<std::int64_t>(sample.size())));
   auto all = coll::allgather_merge(
       comm, std::span<const TaggedKey<T>>(sample.data(), sample.size()),
       tless);

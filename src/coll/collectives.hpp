@@ -1,8 +1,12 @@
 // Collective operations on top of Comm point-to-point messages.
 //
 // Costs are *emergent*: every collective is built from p2p sends/recvs, so
-// the virtual-time cost of, e.g., an allreduce is Θ(α log p + βℓ) — the
-// bounds the paper quotes from [2, 30] — without any hand-inserted charges.
+// its virtual-time cost is whatever its message schedule costs, without any
+// hand-inserted charges. The cost of each is listed below. Only allreduce
+// meets the Θ(α log p + βℓ) bound the paper quotes from [2, 30] for
+// vector-valued collectives, and only above its length crossover
+// (docs/DESIGN.md §13); bcast, reduce and exscan_add ship the whole vector
+// on each of their ⌈log2 p⌉ rounds.
 //
 // The irregular collectives are *flat-buffer* APIs, the shape real MPI
 // specifies them in (one contiguous buffer plus counts/displacements):
@@ -17,9 +21,14 @@
 //
 // Provided (all SPMD-collective over the communicator):
 //   barrier                — dissemination barrier, Θ(α log p)
-//   bcast / bcast_one      — binomial tree
-//   reduce_add/allreduce_add, allreduce (generic op) — elementwise on vectors
-//   exscan_add             — vector-valued exclusive prefix sum (dissemination)
+//   bcast / bcast_one      — binomial tree, Θ((α + βℓ) log p)
+//   reduce                 — binomial tree to a root, Θ((α + βℓ) log p)
+//   allreduce / allreduce_add — elementwise on equal-length vectors, any
+//                            associative op: short vectors reduce + bcast,
+//                            Θ((α + βℓ) log p); long ones Rabenseifner's
+//                            reduce-scatter + allgather, Θ(α log p + βℓ)
+//   exscan_add             — vector-valued exclusive prefix sum
+//                            (dissemination), Θ((α + βℓ) log p)
 //   *_one                  — scalar wrappers over the vector collectives,
 //                            all through the same one-element adapter
 //   gatherv / allgatherv   — binomial gather (+ broadcast) → FlatParts<T>
@@ -173,10 +182,121 @@ std::vector<T> reduce(Comm& comm, std::vector<T> local, Op op, int root = 0) {
   return local;  // meaningful only on root
 }
 
-/// Elementwise allreduce over equal-length vectors: binomial reduce to
-/// rank 0 followed by broadcast. `op` must be associative.
+namespace detail {
+
+/// Crossover of `allreduce`: the long-vector schedule pays off once one
+/// message's bandwidth term β·bytes reaches the α·⌈log2 p⌉ startups of a
+/// tree, both taken on the communicator's widest link. Identical on every
+/// member (same p, same link, equal-length vectors), so all take one path.
+inline bool allreduce_is_long(const Comm& comm, std::size_t bytes) {
+  const int p = comm.size();
+  const auto& m = comm.machine();
+  const int lvl =
+      static_cast<int>(m.level_between(comm.member(0), comm.member(p - 1)));
+  return m.beta[lvl] * static_cast<double>(bytes) >=
+         m.alpha[lvl] * ceil_log2(static_cast<std::uint64_t>(p));
+}
+
+/// Rabenseifner's allreduce, in place on `v`: a reduce-scatter by recursive
+/// halving, then an allgather by recursive doubling — Θ(α log p + βℓ). For
+/// p = 2^k + rem, ranks 2i and 2i+1 (i < rem) first fold into 2i+1, and 2i
+/// gets the result back at the end. The halving starts at distance 1 and
+/// every combine puts the lower ranks' partial on the left, so each combine
+/// joins two rank-contiguous partials: an associative, non-commutative `op`
+/// gives the rank-order fold. The received payloads are combined in place
+/// and handed back to the pool, so a warm call allocates nothing.
+template <Sortable T, typename Op>
+void allreduce_long(Comm& comm, std::vector<T>& v, Op& op) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  const int rounds = floor_log2(static_cast<std::uint64_t>(p));
+  const int pof2 = 1 << rounds;
+  const int rem = p - pof2;
+  const std::uint64_t tag = comm.next_tag_block();
+  const std::uint64_t fold_out_tag =
+      tag + 1 + 2 * static_cast<std::uint64_t>(rounds);
+  const std::size_t len = v.size();
+
+  // v[lo, lo + n) ← op over (received, own), lower ranks on the left.
+  auto combine_from = [&](int src, std::uint64_t t, std::size_t lo,
+                          std::size_t n, bool theirs_lower) {
+    net::Message m = comm.recv_bytes(src, t);
+    PMPS_CHECK(m.payload.size() == n * sizeof(T));
+    comm.charge(comm.machine().compare_cost_n(static_cast<std::int64_t>(n)));
+    for (std::size_t i = 0; i < n; ++i) {
+      T x{};
+      std::memcpy(&x, m.payload.data() + i * sizeof(T), sizeof(T));
+      v[lo + i] = theirs_lower ? op(x, v[lo + i]) : op(v[lo + i], x);
+    }
+    comm.release_payload(std::move(m));
+  };
+
+  int vrank = me - rem;  // rank among the 2^k participants
+  if (me < 2 * rem) {
+    if (me % 2 == 0) {
+      comm.send<T>(me + 1, tag, std::span<const T>(v));
+      comm.recv_into<T>(me + 1, fold_out_tag, std::span<T>(v));
+      return;
+    }
+    combine_from(me - 1, tag, 0, len, /*theirs_lower=*/true);
+    vrank = me / 2;
+  }
+  auto rank_of = [rem](int vr) { return vr < rem ? 2 * vr + 1 : vr + rem; };
+  // The vector is cut into 2^k blocks; block b starts at element offset(b).
+  auto offset = [len, pof2](int b) {
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(b) * len /
+                                    static_cast<std::uint64_t>(pof2));
+  };
+  auto blocks = [&](int lo, int hi) {
+    return std::span<T>(v.data() + offset(lo), offset(hi) - offset(lo));
+  };
+
+  // Reduce-scatter: keep one half of the current block range, send the
+  // other to the partner at distance `mask`.
+  int lo = 0;
+  int hi = pof2;
+  std::uint64_t t = tag + 1;
+  for (int mask = 1; mask < pof2; mask <<= 1, ++t) {
+    const int partner = rank_of(vrank ^ mask);
+    const bool lower = (vrank & mask) == 0;
+    const int mid = (lo + hi) / 2;
+    comm.send<T>(partner, t, lower ? blocks(mid, hi) : blocks(lo, mid));
+    (lower ? hi : lo) = mid;
+    combine_from(partner, t, offset(lo), offset(hi) - offset(lo),
+                 /*theirs_lower=*/!lower);
+  }
+  // Allgather: the same pairs in reverse; each round doubles the range.
+  for (int mask = pof2 / 2; mask >= 1; mask >>= 1, ++t) {
+    const int partner = rank_of(vrank ^ mask);
+    const bool lower = (vrank & mask) == 0;
+    const int width = hi - lo;
+    comm.send<T>(partner, t, blocks(lo, hi));
+    if (lower) {
+      comm.recv_into<T>(partner, t, blocks(hi, hi + width));
+      hi += width;
+    } else {
+      comm.recv_into<T>(partner, t, blocks(lo - width, lo));
+      lo -= width;
+    }
+  }
+  PMPS_ASSERT(lo == 0 && hi == pof2 && t == fold_out_tag);
+  if (me < 2 * rem) comm.send<T>(me - 1, fold_out_tag, std::span<const T>(v));
+}
+
+}  // namespace detail
+
+/// Elementwise allreduce over equal-length vectors; `op` must be
+/// associative, need not be commutative, and the result is the rank-order
+/// fold on every PE. Short vectors run a binomial reduce to rank 0 and a
+/// broadcast, Θ((α + βℓ) log p); at and above the crossover
+/// (detail::allreduce_is_long) Rabenseifner's schedule, Θ(α log p + βℓ).
 template <Sortable T, typename Op>
 std::vector<T> allreduce(Comm& comm, std::vector<T> local, Op op) {
+  if (comm.size() > 1 &&
+      detail::allreduce_is_long(comm, local.size() * sizeof(T))) {
+    detail::allreduce_long(comm, local, op);
+    return local;
+  }
   auto result = reduce(comm, std::move(local), op, /*root=*/0);
   bcast(comm, result, /*root=*/0);
   return result;

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -359,6 +360,22 @@ void sparse_rounds(Comm& comm, int rounds) {
   if (acc == -1) std::abort();  // keep the accumulation observable
 }
 
+/// R long-vector allreduces of one 1 Ki-word vector, moved in and back out
+/// each round. The long schedule combines straight out of the received
+/// payloads and receives the allgather in place, so the only vector it could
+/// allocate is the result, and that is the caller's own buffer.
+constexpr std::size_t kLongWords = 1024;
+void allreduce_rounds(Comm& comm, int rounds) {
+  std::vector<std::int64_t> v(kLongWords);
+  std::int64_t acc = 0;
+  for (int r = 0; r < rounds; ++r) {
+    std::fill(v.begin(), v.end(), comm.rank());
+    v = coll::allreduce_add(comm, std::move(v));
+    acc += v[static_cast<std::size_t>(r) % v.size()];
+  }
+  if (acc == -1) std::abort();  // keep the results observable
+}
+
 std::int64_t engine_run_allocs(Engine& engine, void (*body)(Comm&, int),
                                int rounds) {
   return count_allocs(
@@ -392,6 +409,27 @@ TEST(AllocCount, SparseExchangeSteadyStateAllocatesNothingPerRound) {
     engine.run([](Comm& comm) { sparse_rounds(comm, 32); });  // warm-up
     const std::int64_t few = engine_run_allocs(engine, sparse_rounds, 2);
     const std::int64_t many = engine_run_allocs(engine, sparse_rounds, 32);
+    EXPECT_EQ(few, many);
+  }
+  unsetenv("PMPS_FIBER_WORKERS");
+}
+
+TEST(AllocCount, LongAllreduceAllocatesNothingPerCall) {
+  if (!net::fibers_supported()) GTEST_SKIP() << "no fiber backend here";
+  setenv("PMPS_FIBER_WORKERS", "1", 1);
+  {
+    Engine engine(8, MachineParams::supermuc_like(), 1,
+                  EngineBackend::kFibers);
+    std::atomic<bool> is_long{true};
+    engine.run([&](Comm& comm) {
+      if (!coll::detail::allreduce_is_long(
+              comm, kLongWords * sizeof(std::int64_t)))
+        is_long = false;
+      allreduce_rounds(comm, 16);  // warm-up
+    });
+    ASSERT_TRUE(is_long) << "the vector must take the long schedule";
+    const std::int64_t few = engine_run_allocs(engine, allreduce_rounds, 2);
+    const std::int64_t many = engine_run_allocs(engine, allreduce_rounds, 16);
     EXPECT_EQ(few, many);
   }
   unsetenv("PMPS_FIBER_WORKERS");

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <numeric>
 #include <vector>
 
 #include "coll/collectives.hpp"
 #include "coll/flat.hpp"
+#include "common/math.hpp"
 #include "common/random.hpp"
 #include "net/engine.hpp"
 
@@ -371,6 +373,155 @@ TEST(SparseExchange, ChargesOnlyActualMessagesPlusBarrier) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectivesP,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 12, 16, 17,
                                            32, 64));
+
+// ---------------------------------------------------------------------------
+// long-vector allreduce (Rabenseifner): rank-order fold, schedule, cost
+// ---------------------------------------------------------------------------
+
+/// x ↦ a·x + b (mod 2^64). `then(f, g)` applies f, then g: associative but
+/// not commutative, so any reordering of the fold changes the result.
+struct Affine {
+  std::uint64_t a = 1;
+  std::uint64_t b = 0;
+  bool operator==(const Affine&) const = default;
+};
+Affine then(const Affine& f, const Affine& g) {
+  return {g.a * f.a, g.a * f.b + g.b};
+}
+
+/// A slot that may hold a value; the first non-empty slot wins.
+struct Slot {
+  std::uint64_t has = 0;
+  std::uint64_t value = 0;
+  bool operator==(const Slot&) const = default;
+};
+Slot first_wins(const Slot& x, const Slot& y) { return x.has ? x : y; }
+
+/// 256 elements combined elementwise: one 4 KiB element, so that vectors
+/// shorter than p still cross the long-vector crossover.
+template <typename E>
+struct Wide {
+  std::array<E, 256> e{};
+  bool operator==(const Wide&) const = default;
+};
+
+Affine affine_input(int rank, std::size_t i) {
+  const std::uint64_t h = mix64(static_cast<std::uint64_t>(rank) * 1000003u +
+                                static_cast<std::uint64_t>(i));
+  return {h | 1, mix64(h)};
+}
+Slot slot_input(int rank, std::size_t i) {
+  const std::uint64_t h = mix64(static_cast<std::uint64_t>(rank) * 7919u +
+                                static_cast<std::uint64_t>(i) + 17);
+  return {h % 5 == 0 ? 1u : 0u, h};
+}
+
+/// Messages one PE sends in the long schedule: 2·log2(2^k) exchange rounds,
+/// plus the fold-out for the ranks that absorbed an extra rank; the extra
+/// ranks themselves send only their fold-in.
+std::int64_t long_schedule_sends(int p, int rank) {
+  const int rounds = floor_log2(static_cast<std::uint64_t>(p));
+  const int rem = p - (1 << rounds);
+  if (rank >= 2 * rem) return 2 * rounds;
+  return rank % 2 == 0 ? 1 : 2 * rounds + 1;
+}
+
+/// Runs `allreduce(op)` over `input(rank, i)`, i < len, on supermuc_like()
+/// and checks, on every PE, the result against the serial rank-order fold
+/// and the sent-message count against the long schedule's.
+template <typename E, typename Op, typename Input>
+void expect_long_allreduce_folds_in_rank_order(int p, std::size_t len, Op op,
+                                               Input input) {
+  std::vector<E> expect(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    expect[i] = input(0, i);
+    for (int r = 1; r < p; ++r) expect[i] = op(expect[i], input(r, i));
+  }
+  Engine engine(p, MachineParams::supermuc_like(), 5);
+  engine.run([&](Comm& comm) {
+    std::vector<E> mine(len);
+    for (std::size_t i = 0; i < len; ++i) mine[i] = input(comm.rank(), i);
+    const std::int64_t sent0 = comm.ctx().stats.messages_sent;
+    const auto got = allreduce(comm, std::move(mine), op);
+    EXPECT_EQ(comm.ctx().stats.messages_sent - sent0,
+              long_schedule_sends(p, comm.rank()))
+        << "p=" << p << " len=" << len << " rank=" << comm.rank();
+    EXPECT_TRUE(got == expect)
+        << "p=" << p << " len=" << len << " rank=" << comm.rank();
+  });
+}
+
+template <typename E, typename Op>
+auto widen(Op op) {
+  return [op](const Wide<E>& x, const Wide<E>& y) {
+    Wide<E> z;
+    for (std::size_t k = 0; k < z.e.size(); ++k) z.e[k] = op(x.e[k], y.e[k]);
+    return z;
+  };
+}
+template <typename E, typename Input>
+auto widen_input(Input input) {
+  return [input](int rank, std::size_t i) {
+    Wide<E> w;
+    for (std::size_t k = 0; k < w.e.size(); ++k)
+      w.e[k] = input(rank, i * w.e.size() + k);
+    return w;
+  };
+}
+
+class AllreduceLongP : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllreduceLongP, FoldsInRankOrderOnEveryPe) {
+  const int p = GetParam();
+  // Fewer elements than PEs (empty blocks), p ± 1, and a long vector.
+  for (const std::size_t len :
+       {static_cast<std::size_t>(p / 2), static_cast<std::size_t>(p - 1),
+        static_cast<std::size_t>(p + 1)}) {
+    expect_long_allreduce_folds_in_rank_order<Wide<Affine>>(
+        p, len, widen<Affine>(then), widen_input<Affine>(affine_input));
+    expect_long_allreduce_folds_in_rank_order<Wide<Slot>>(
+        p, len, widen<Slot>(first_wins), widen_input<Slot>(slot_input));
+  }
+  expect_long_allreduce_folds_in_rank_order<Affine>(p, 4096, then,
+                                                    affine_input);
+  expect_long_allreduce_folds_in_rank_order<Slot>(p, 4096, first_wins,
+                                                  slot_input);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, AllreduceLongP,
+                         ::testing::Values(2, 3, 4, 5, 7, 8, 12, 16, 17, 32,
+                                           64));
+
+TEST(AllreduceLong, VirtualTimeMatchesClosedFormOnFlatMachine) {
+  // A pairwise exchange of b bytes costs α + 2βb here: the sender pays
+  // α + βb, and the receive then drains βb because the single port was busy
+  // sending. Each of the two phases has log2 p rounds and moves (p−1)/p of
+  // the 8-byte words; the reduce-scatter combines (p−1)/p of them once.
+  const double alpha = 1e-6;
+  const double beta = 1e-8;
+  const MachineParams machine = MachineParams::flat(alpha, beta);
+  for (const int p : {64, 1024}) {
+    for (const std::size_t words : {std::size_t{1024}, std::size_t{16384}}) {
+      Engine engine(p, machine, 3);
+      engine.run([&](Comm& comm) {
+        std::vector<std::int64_t> v(words, comm.rank());
+        const std::int64_t sent0 = comm.ctx().stats.messages_sent;
+        v = allreduce_add(comm, std::move(v));
+        EXPECT_EQ(comm.ctx().stats.messages_sent - sent0,
+                  2 * floor_log2(static_cast<std::uint64_t>(p)));
+        EXPECT_EQ(v[words - 1],
+                  static_cast<std::int64_t>(p) * (p - 1) / 2);
+      });
+      const double moved = static_cast<double>(p - 1) / p *
+                           static_cast<double>(words);
+      const double closed_form =
+          2 * ceil_log2(static_cast<std::uint64_t>(p)) * alpha +
+          2 * (8 * moved * 2 * beta) + moved * machine.compare_cost;
+      EXPECT_NEAR(engine.report().wall_time, closed_form, 0.1 * closed_form)
+          << "p=" << p << " words=" << words;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // property: flat collectives match a naive p2p reference

@@ -12,6 +12,7 @@
 
 #include "ams/ams_sort.hpp"
 #include "coll/collectives.hpp"
+#include "fastsort/fast_rank_sort.hpp"
 #include "harness/runner.hpp"
 #include "harness/workloads.hpp"
 #include "net/comm.hpp"
@@ -288,11 +289,14 @@ TEST(Engine, ReportIdenticalAcrossBackendsWithNoise) {
 
 // --- clean-model golden regression -----------------------------------------
 //
-// The NetworkModel plug point must leave the default path untouched: these
-// hexfloat summaries were captured from seeded runs *before* fault
-// injection existed, and every backend / worker-count combination must
-// still reproduce them byte for byte. If an intentional cost-model change
-// ever shifts them, re-capture with the printf format below.
+// The NetworkModel plug point must leave the default path untouched: the
+// AMS and RLM hexfloat summaries were captured from seeded runs *before*
+// fault injection existed, and every backend / worker-count combination must
+// still reproduce them byte for byte. Their allreduces all run the short
+// (binomial) schedule; kGoldenAmsLong, captured when the long-vector
+// allreduce landed, pins a shape whose bucket-size and slot allreduces run
+// the long one. If an intentional cost-model change ever shifts them,
+// re-capture with the printf format below.
 
 std::string canonical_summary(const harness::RunConfig& cfg) {
   const auto res = harness::run_sort_experiment(cfg);
@@ -326,6 +330,12 @@ constexpr const char* kGoldenRlm =
     "deliv=0x1.5e566eeeed7c6p-16 sort=0x1.74c0c4f302f55p-16 "
     "sent=525 recv=414 bytes=135264 total=3600 imb=0x0p+0 ok=1";
 
+constexpr const char* kGoldenAmsLong =
+    "wall=0x1.2aad60c3f31bep-11 other=0x1.9394deb5c45e9p-17 "
+    "split=0x1.3e3147fdaa45fp-12 bucket=0x1.345e74920915p-14 "
+    "deliv=0x1.631c9341f4fe2p-13 sort=0x1.e3b1d2f22dcfap-17 "
+    "sent=153 recv=153 bytes=8507720 total=12800 imb=0x1.47ae147ae148p-5 ok=1";
+
 harness::RunConfig golden_ams_config() {
   harness::RunConfig cfg;
   cfg.p = 16;
@@ -333,6 +343,19 @@ harness::RunConfig golden_ams_config() {
   cfg.algorithm = harness::Algorithm::kAms;
   cfg.ams.levels = 2;
   cfg.seed = 7;
+  return cfg;
+}
+
+/// 1-level AMS at p = 64: r = 64 groups × b = 16 buckets, so the
+/// bucket-size allreduce carries 1024 words and fast_rank_select's slot
+/// allreduce 1023 × 32 bytes, both past the long-vector crossover.
+harness::RunConfig golden_ams_long_config() {
+  harness::RunConfig cfg;
+  cfg.p = 64;
+  cfg.n_per_pe = 200;
+  cfg.algorithm = harness::Algorithm::kAms;
+  cfg.ams.levels = 1;
+  cfg.seed = 11;
   return cfg;
 }
 
@@ -349,6 +372,20 @@ harness::RunConfig golden_rlm_config() {
 TEST(Engine, CleanModelMatchesPreFaultInjectionGoldens) {
   EXPECT_EQ(canonical_summary(golden_ams_config()), kGoldenAms);
   EXPECT_EQ(canonical_summary(golden_rlm_config()), kGoldenRlm);
+  EXPECT_EQ(canonical_summary(golden_ams_long_config()), kGoldenAmsLong);
+}
+
+TEST(Engine, LongGoldenShapeRunsTheLongAllreduce) {
+  Engine engine(64, MachineParams::supermuc_like(), /*seed=*/1);
+  std::atomic<int> long_paths{0};
+  engine.run([&](Comm& comm) {
+    const std::size_t slot_bytes =
+        sizeof(fastsort::detail::SelectSlot<std::uint64_t>);
+    if (coll::detail::allreduce_is_long(comm, 1024 * sizeof(std::int64_t)) &&
+        coll::detail::allreduce_is_long(comm, 1023 * slot_bytes))
+      long_paths.fetch_add(1);
+  });
+  EXPECT_EQ(long_paths.load(), 64);
 }
 
 TEST(Engine, CleanModelGoldensHoldOnThreadBackend) {
@@ -356,8 +393,11 @@ TEST(Engine, CleanModelGoldensHoldOnThreadBackend) {
   ams.backend = EngineBackend::kThreads;
   auto rlm = golden_rlm_config();
   rlm.backend = EngineBackend::kThreads;
+  auto ams_long = golden_ams_long_config();
+  ams_long.backend = EngineBackend::kThreads;
   EXPECT_EQ(canonical_summary(ams), kGoldenAms);
   EXPECT_EQ(canonical_summary(rlm), kGoldenRlm);
+  EXPECT_EQ(canonical_summary(ams_long), kGoldenAmsLong);
 }
 
 TEST(Engine, CleanModelGoldensHoldWithFastForwardDisabled) {
@@ -367,9 +407,11 @@ TEST(Engine, CleanModelGoldensHoldWithFastForwardDisabled) {
   setenv("PMPS_COLL_FF", "0", 1);
   EXPECT_EQ(canonical_summary(golden_ams_config()), kGoldenAms);
   EXPECT_EQ(canonical_summary(golden_rlm_config()), kGoldenRlm);
+  EXPECT_EQ(canonical_summary(golden_ams_long_config()), kGoldenAmsLong);
   unsetenv("PMPS_COLL_FF");
   // And back on (the default): still the goldens.
   EXPECT_EQ(canonical_summary(golden_ams_config()), kGoldenAms);
+  EXPECT_EQ(canonical_summary(golden_ams_long_config()), kGoldenAmsLong);
 }
 
 TEST(Engine, ThreadsBackendRefusesHugePeCounts) {
@@ -471,6 +513,8 @@ TEST(Engine, CleanModelGoldensHoldAcrossFiberWorkerCounts) {
   ams.backend = EngineBackend::kFibers;
   auto rlm = golden_rlm_config();
   rlm.backend = EngineBackend::kFibers;
+  auto ams_long = golden_ams_long_config();
+  ams_long.backend = EngineBackend::kFibers;
   const char* prev = std::getenv("PMPS_FIBER_WORKERS");
   const std::string saved = prev ? prev : "";
   for (const char* workers : {"1", "3"}) {
@@ -479,6 +523,8 @@ TEST(Engine, CleanModelGoldensHoldAcrossFiberWorkerCounts) {
     setenv("PMPS_FIBER_WORKERS", workers, 1);
     EXPECT_EQ(canonical_summary(ams), kGoldenAms) << "workers=" << workers;
     EXPECT_EQ(canonical_summary(rlm), kGoldenRlm) << "workers=" << workers;
+    EXPECT_EQ(canonical_summary(ams_long), kGoldenAmsLong)
+        << "workers=" << workers;
   }
   if (prev) {
     setenv("PMPS_FIBER_WORKERS", saved.c_str(), 1);
