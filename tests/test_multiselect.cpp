@@ -74,18 +74,23 @@ void check_multiselect(int p, std::int64_t n_per_pe,
   }
 }
 
+// gtest prints a Case as its raw bytes, and CTest names each case by that
+// print, so Case must have no padding: padding bytes are indeterminate and
+// would give the case a different name on every run. Hence a 64-bit p.
 struct Case {
-  int p;
+  std::int64_t p;
   std::int64_t n_per_pe;
   std::uint64_t value_range;  // small ranges stress duplicates
 };
+static_assert(sizeof(Case) == 3 * sizeof(std::int64_t));
 
 class MultiselectP : public ::testing::TestWithParam<Case> {};
 
 TEST_P(MultiselectP, MedianRank) {
   const auto c = GetParam();
   const std::int64_t total = c.p * c.n_per_pe;
-  check_multiselect(c.p, c.n_per_pe, {total / 2}, c.value_range, 1);
+  check_multiselect(static_cast<int>(c.p), c.n_per_pe, {total / 2},
+                    c.value_range, 1);
 }
 
 TEST_P(MultiselectP, ManySimultaneousRanks) {
@@ -93,14 +98,15 @@ TEST_P(MultiselectP, ManySimultaneousRanks) {
   const std::int64_t total = c.p * c.n_per_pe;
   std::vector<std::int64_t> ranks;
   for (int i = 1; i < 8; ++i) ranks.push_back(i * total / 8);
-  check_multiselect(c.p, c.n_per_pe, ranks, c.value_range, 2);
+  check_multiselect(static_cast<int>(c.p), c.n_per_pe, ranks, c.value_range,
+                    2);
 }
 
 TEST_P(MultiselectP, ExtremeRanks) {
   const auto c = GetParam();
   const std::int64_t total = c.p * c.n_per_pe;
-  check_multiselect(c.p, c.n_per_pe, {0, 1, total - 1, total}, c.value_range,
-                    3);
+  check_multiselect(static_cast<int>(c.p), c.n_per_pe,
+                    {0, 1, total - 1, total}, c.value_range, 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
