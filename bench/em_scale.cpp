@@ -15,19 +15,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ams/ams_sort.hpp"
 #include "bench_common.hpp"
 #include "common/check.hpp"
 #include "common/random.hpp"
-#include "em/io.hpp"
-#include "em/io_executor.hpp"
 #include "em/memory_budget.hpp"
 #include "harness/tables.hpp"
 #include "harness/verify.hpp"
@@ -54,15 +50,13 @@ struct Outcome {
 /// One executed sort. The signature hashes every PE's output *in order*
 /// (FNV within a PE, keyed by rank across PEs), so equal signatures mean
 /// bit-identical outputs, not just equal multisets.
-Outcome run_once(bool rlm, std::int64_t budget_bytes, std::uint64_t seed,
-                 em::IoExecutor* io) {
+Outcome run_once(bool rlm, std::int64_t budget_bytes, std::uint64_t seed) {
   Outcome o;
   em::SpillStats stats;
   em::MemoryBudget budget;
   budget.bytes = budget_bytes;
   budget.block_bytes = 8192;
   budget.stats = &stats;
-  budget.io = io;  // null = synchronous spill I/O (PMPS_EM_IO=sync)
 
   net::Engine engine(kP, net::MachineParams::supermuc_like(), seed);
   std::mutex mu;
@@ -106,15 +100,6 @@ std::string fmt_kb(std::int64_t bytes) {
   return std::to_string(bytes / 1024) + " KB";
 }
 
-/// Worker threads the engine will resolve (PMPS_FIBER_WORKERS, else the
-/// hardware concurrency) — the overlap throughput gate only applies on
-/// multi-worker hosts, where host-time ratios are meaningful.
-int engine_workers() {
-  if (const char* v = std::getenv("PMPS_FIBER_WORKERS"); v != nullptr && *v)
-    return std::max(1, std::atoi(v));
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -145,12 +130,6 @@ int main(int argc, char** argv) {
   harness::Table table({"algo", "budget", "runs/s", "virt time [s]",
                         "runs formed", "spilled [KB]", "read [KB]", "verify"});
 
-  // The grid honours PMPS_EM_IO like the harness does: async write-behind /
-  // read-ahead by default, the synchronous PR-9 path under PMPS_EM_IO=sync.
-  em::IoExecutor overlap_io(em::io_threads_from_env());
-  em::IoExecutor* const grid_io =
-      em::io_mode_from_env() != em::IoMode::kSync ? &overlap_io : nullptr;
-
   for (const bool rlm : {false, true}) {
     for (const auto budget : budgets) {
       Row row;
@@ -160,7 +139,7 @@ int main(int argc, char** argv) {
       double total_sec = 0;
       em::SpillTotals acc;
       for (int rep = 0; rep < reps; ++rep) {
-        const auto o = run_once(rlm, budget, flags.seed, grid_io);
+        const auto o = run_once(rlm, budget, flags.seed);
         total_sec += o.host_sec;
         row.virtual_time = o.virtual_time;
         row.signature = o.out_signature;
@@ -180,52 +159,6 @@ int main(int argc, char** argv) {
     }
   }
   flags.csv ? table.print_csv() : table.print();
-
-  // --- Overlap ablation: the same over-memory AMS sort with spill I/O
-  // synchronous (PMPS_EM_IO=sync equivalent) vs asynchronous, under a
-  // modeled 40 µs device access latency charged to BOTH modes — the sync
-  // path pays it inline on the PE fiber, the async path hides it on the
-  // I/O threads. Best-of-reps host time; output signature and virtual time
-  // must not move (that is the determinism half of the gate).
-  constexpr std::int64_t kAblBudget = 64 * 1024;
-  constexpr std::int64_t kIoDelayUs = 40;
-  struct Abl {
-    double best_sec = 1e100;
-    Outcome last;
-  };
-  Abl abl_sync, abl_async;
-  {
-    const int abl_reps = std::max(2, flags.reps);
-    em::set_io_delay_us(kIoDelayUs);
-    for (int rep = 0; rep < abl_reps; ++rep) {
-      auto s = run_once(false, kAblBudget, flags.seed, nullptr);
-      abl_sync.best_sec = std::min(abl_sync.best_sec, s.host_sec);
-      abl_sync.last = s;
-      auto a = run_once(false, kAblBudget, flags.seed, &overlap_io);
-      abl_async.best_sec = std::min(abl_async.best_sec, a.host_sec);
-      abl_async.last = a;
-    }
-    em::set_io_delay_us(0);
-  }
-  const double abl_speedup = abl_async.best_sec > 0
-                                 ? abl_sync.best_sec / abl_async.best_sec
-                                 : 0;
-  std::printf(
-      "\nOverlap ablation (AMS, budget %s, %lld us modeled device "
-      "latency):\n"
-      "  sync  I/O: %.3f s/run\n"
-      "  async I/O: %.3f s/run  (%.2fx; %lld write-behind blocks, %lld "
-      "coalesced,\n"
-      "             %lld/%lld prefetch hits/misses, %lld KB dirty "
-      "high-water, %.3f s blocked)\n",
-      fmt_kb(kAblBudget).c_str(), static_cast<long long>(kIoDelayUs),
-      abl_sync.best_sec, abl_async.best_sec, abl_speedup,
-      static_cast<long long>(abl_async.last.spill.writes_behind),
-      static_cast<long long>(abl_async.last.spill.write_coalesced),
-      static_cast<long long>(abl_async.last.spill.prefetch_hits),
-      static_cast<long long>(abl_async.last.spill.prefetch_misses),
-      static_cast<long long>(abl_async.last.spill.inflight_hwm_bytes / 1024),
-      abl_async.last.spill.io_wait_sec);
 
   if (FILE* f = std::fopen("BENCH_em_scale.json", "w")) {
     std::fprintf(f,
@@ -247,23 +180,7 @@ int main(int argc, char** argv) {
           static_cast<long long>(r.spill.bytes_read),
           r.verified ? "true" : "false", i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(
-        f,
-        "  ],\n  \"overlap_ablation\": {\"budget_bytes\": %lld, "
-        "\"io_delay_us\": %lld, \"sync_sec\": %.4f, \"async_sec\": %.4f, "
-        "\"speedup\": %.3f, \"writes_behind\": %lld, "
-        "\"write_coalesced\": %lld, \"prefetch_hits\": %lld, "
-        "\"prefetch_misses\": %lld, \"inflight_hwm_bytes\": %lld, "
-        "\"io_wait_sec\": %.4f}\n}\n",
-        static_cast<long long>(kAblBudget),
-        static_cast<long long>(kIoDelayUs), abl_sync.best_sec,
-        abl_async.best_sec, abl_speedup,
-        static_cast<long long>(abl_async.last.spill.writes_behind),
-        static_cast<long long>(abl_async.last.spill.write_coalesced),
-        static_cast<long long>(abl_async.last.spill.prefetch_hits),
-        static_cast<long long>(abl_async.last.spill.prefetch_misses),
-        static_cast<long long>(abl_async.last.spill.inflight_hwm_bytes),
-        abl_async.last.spill.io_wait_sec);
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("\nwrote BENCH_em_scale.json\n");
   }
@@ -306,44 +223,10 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    // Overlap ablation: determinism is unconditional — the async pipeline
-    // must not move the output or the virtual clock relative to sync.
-    if (!abl_sync.last.verified || !abl_async.last.verified) {
-      std::printf("check: FAIL — ablation run did not verify\n");
-      ok = false;
-    }
-    if (abl_async.last.out_signature != abl_sync.last.out_signature ||
-        abl_async.last.virtual_time != abl_sync.last.virtual_time) {
-      std::printf(
-          "check: FAIL — async spill I/O is not bit-identical to sync "
-          "(sig %016llx/%016llx, virt %.6f/%.6f)\n",
-          static_cast<unsigned long long>(abl_async.last.out_signature),
-          static_cast<unsigned long long>(abl_sync.last.out_signature),
-          abl_async.last.virtual_time, abl_sync.last.virtual_time);
-      ok = false;
-    }
-    if (abl_async.last.spill.writes_behind == 0) {
-      std::printf("check: FAIL — ablation async run used no write-behind\n");
-      ok = false;
-    }
-    // Throughput half of the gate: only meaningful where PE compute and
-    // spill I/O can actually run concurrently. On single-worker hosts the
-    // engine serialises everything and the ratio is noise.
-    const bool multi_worker =
-        engine_workers() > 1 && std::thread::hardware_concurrency() > 1;
-    if (multi_worker && abl_speedup < 1.15) {
-      std::printf(
-          "check: FAIL — overlap win %.2fx below the 1.15x floor on a "
-          "multi-worker host\n",
-          abl_speedup);
-      ok = false;
-    }
     if (ok)
       std::printf(
           "check: OK (all rows verified; budgeted rows spilled; outputs "
-          "bit-identical and virtual time unchanged across budgets and "
-          "I/O modes; overlap win %.2fx%s)\n",
-          abl_speedup, multi_worker ? "" : ", floor skipped on 1-worker host");
+          "bit-identical and virtual time unchanged across budgets)\n");
     return ok ? 0 : 1;
   }
   return 0;

@@ -148,19 +148,12 @@ int main(int argc, char** argv) {
           "\"budget_divisor\": %d, \"recs_per_sim_minute\": %.1f, "
           "\"virtual_time\": %.6f, \"runs_per_sec\": %.3f, "
           "\"bytes_spilled\": %lld, \"merge_passes\": %lld, "
-          "\"writes_behind\": %lld, \"write_coalesced\": %lld, "
-          "\"prefetch_hits\": %lld, \"prefetch_misses\": %lld, "
-          "\"io_wait_sec\": %.4f, \"verified\": %s}%s\n",
+          "\"verified\": %s}%s\n",
           std::string(harness::element_name(r.element)).c_str(),
           static_cast<long long>(r.n_per_pe), r.divisor, r.recs_per_sim_minute,
           r.virtual_time, r.runs_per_sec,
           static_cast<long long>(r.spill.bytes_written),
           static_cast<long long>(r.spill.merge_passes),
-          static_cast<long long>(r.spill.writes_behind),
-          static_cast<long long>(r.spill.write_coalesced),
-          static_cast<long long>(r.spill.prefetch_hits),
-          static_cast<long long>(r.spill.prefetch_misses),
-          r.spill.io_wait_sec,
           r.verified ? "true" : "false", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

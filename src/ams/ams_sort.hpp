@@ -223,11 +223,10 @@ void ams_level(Comm& comm, std::vector<T>& data,
         }
         std::vector<T> buf = store->acquire_buffer();
         const std::int64_t epb = store->elems_per_block();
-        em::StoreStream<T> stream(*store);  // sequential pass, read-ahead
         for (std::int64_t off = 0; off < n_local; off += epb) {
           const std::int64_t len = std::min(epb, n_local - off);
           std::span<T> chunk(buf.data(), static_cast<std::size_t>(len));
-          stream.read(chunk);
+          store->read_range(off, chunk);
           seq::classify_block(std::span<const T>(chunk), comm.rank(), off,
                               classifier, emit);
         }

@@ -73,7 +73,6 @@
 #include "coll/collectives.hpp"
 #include "common/check.hpp"
 #include "common/math.hpp"
-#include "em/run_cursor.hpp"
 #include "em/run_store.hpp"
 #include "net/comm.hpp"
 #include "prng/feistel.hpp"
@@ -577,17 +576,13 @@ coll::SendPlan<T> plan_delivery_from_store(
   PMPS_CHECK(sum == store.total());
   coll::SendPlan<T> out;
   std::vector<T> buf = store.acquire_buffer();
-  em::StoreStream<T> stream(store);
   for (const auto& pl : place_delivery(comm, piece_sizes, algo, seed)) {
     out.begin_piece(pl.dest);
-    // Placements are usually consecutive content slices — only an actual
-    // jump restarts the stream's read-ahead.
-    if (stream.pos() != pl.offset) stream.seek(pl.offset);
     for (std::int64_t off = 0; off < pl.len;
          off += store.elems_per_block()) {
       const std::int64_t len = std::min(store.elems_per_block(), pl.len - off);
       std::span<T> chunk(buf.data(), static_cast<std::size_t>(len));
-      stream.read(chunk);
+      store.read_range(pl.offset + off, chunk);
       out.append(chunk);
     }
   }

@@ -31,8 +31,6 @@
 
 #pragma once
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -88,29 +86,6 @@ class BlockFile {
     return first;
   }
 
-  /// Reserves ⌈bytes/block_bytes⌉ consecutive slots *without* writing them
-  /// and returns the first slot — the write-behind path: the owner flushes
-  /// the bytes asynchronously through an IoExecutor while the slot range is
-  /// already fixed in the run metadata. Ensures the file exists so fd() is
-  /// valid for the background write. Thread-safe.
-  std::int64_t reserve(std::int64_t bytes) {
-    const std::int64_t first =
-        next_slot_.fetch_add(slots_for(bytes), std::memory_order_relaxed);
-    ensure_open();
-    return first;
-  }
-
-  /// The backing descriptor, for positional I/O submitted to an
-  /// IoExecutor. Valid after any append() or reserve().
-  int fd() const {
-    const int fd = fd_.load(std::memory_order_acquire);
-    PMPS_CHECK_MSG(fd >= 0, "spill file never created");
-    return fd;
-  }
-
-  /// Byte offset of slot `slot`.
-  std::int64_t offset(std::int64_t slot) const { return slot * block_bytes_; }
-
   /// Reads `out.size()` bytes starting `byte_off` bytes into slot `slot`.
   /// The range may run past the slot's end when it was written by one
   /// multi-slot append (contiguity is guaranteed per append, not globally).
@@ -133,8 +108,7 @@ class BlockFile {
     fd_.store(::fileno(file_), std::memory_order_release);
   }
 
-  // Short transfers and EINTR are handled by the em/io.hpp full-transfer
-  // loops (shared with the IoExecutor's background threads).
+  // em/io.hpp's full-transfer loops handle short transfers and EINTR.
   void write_at(std::int64_t off, std::span<const std::byte> data) {
     pwrite_full(fd_.load(std::memory_order_acquire), off, data);
   }

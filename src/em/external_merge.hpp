@@ -90,12 +90,9 @@ int merge_group_to_run(RunStore<T>& store, std::span<const int> group,
     std::int64_t pending = left;
     while (pending > 0) {
       const std::int64_t len = std::min(store.elems_per_block(), pending);
-      stage.resize(static_cast<std::size_t>(len));
-      tree.pop_bulk(std::span<T>(stage.data(), stage.size()));
-      // Hand the sealed block to the store (write-behind flushes it in the
-      // background) and stage the next one in a fresh pooled buffer.
-      store.append_block_buffer_to_run(run, std::move(stage));
-      stage = store.acquire_buffer();
+      std::span<T> chunk(stage.data(), static_cast<std::size_t>(len));
+      tree.pop_bulk(chunk);
+      store.append_block_to_run(run, chunk);
       pending -= len;
     }
   });
@@ -186,12 +183,11 @@ std::vector<T> external_sort_store(RunStore<T>& in, const MemoryBudget& budget,
       1, budget.bytes / static_cast<std::int64_t>(sizeof(T)));
 
   RunStore<T> sorted(budget);
-  StoreStream<T> stream(in);  // sequential chunk reads, prefetched in async mode
   std::vector<T> chunk;
   for (std::int64_t off = 0; off < n; off += run_elems) {
     const std::int64_t len = std::min(run_elems, n - off);
     chunk.resize(static_cast<std::size_t>(len));
-    stream.read(std::span<T>(chunk.data(), chunk.size()));
+    in.read_range(off, std::span<T>(chunk.data(), chunk.size()));
     seq::local_sort(std::span<T>(chunk.data(), chunk.size()), less);
     sorted.append_run(std::span<const T>(chunk.data(), chunk.size()));
   }

@@ -1,19 +1,14 @@
 // Low-level positional file I/O for the spill path.
 //
-// Full-transfer wrappers over pread/pwrite/pwritev: they loop on short
-// transfers (a single syscall is never assumed to move all bytes) and
-// retry EINTR, aborting only on real errors or EOF-inside-a-read. Both the
-// synchronous BlockFile path and the IoExecutor's background threads go
-// through these, so the hardening is in exactly one place.
+// Full-transfer wrappers over pread/pwrite: they loop on short transfers (a
+// single syscall is never assumed to move all bytes) and retry EINTR,
+// aborting only on real errors or EOF-inside-a-read. BlockFile does all of
+// its I/O through these, so the hardening is in exactly one place.
 //
-// Two host-side test/model knobs (process-global, atomics):
-//  - an injected per-syscall transfer cap, so unit tests can force the
-//    short-transfer loops to run without a device that actually shears
-//    writes (tests/test_io_executor.cpp);
-//  - a modelled per-access latency, used by the bench ablation to stand in
-//    for a storage device with real access cost on page-cache-backed temp
-//    files (bench/em_scale.cpp overlap rows). Neither affects *what* is
-//    read or written — virtual time and output are untouched.
+// A process-global test shim caps the bytes per syscall, so unit tests can
+// force the short-transfer loops to run without a device that actually
+// shears writes (tests/test_em.cpp). It never changes *what* is read or
+// written.
 
 #pragma once
 
@@ -30,20 +25,8 @@ void pread_full(int fd, std::int64_t off, std::span<std::byte> out);
 /// Writes exactly data.size() bytes at byte offset `off`.
 void pwrite_full(int fd, std::int64_t off, std::span<const std::byte> data);
 
-/// Gather-write: writes the concatenation of `bufs` (none empty, at most
-/// IoExecutor::kMaxIov of them) contiguously starting at `off` — the
-/// coalesced dirty-queue flush, one syscall for several adjacent blocks.
-void pwritev_full(int fd, std::int64_t off,
-                  std::span<const std::span<const std::byte>> bufs);
-
-/// Test shim: while > 0, every raw pread/pwrite(v) syscall transfers at
-/// most this many bytes, exercising the short-transfer loops. 0 disables.
+/// Test shim: while > 0, every raw pread/pwrite syscall transfers at most
+/// this many bytes, exercising the short-transfer loops. 0 disables.
 void set_io_chunk_limit_for_testing(std::int64_t bytes);
-
-/// Modelled device access latency: every pread_full/pwrite(v)_full call
-/// sleeps this long once before its first syscall. Host-side only; 0 (the
-/// default) disables. The overlap ablation sets it for both I/O modes.
-void set_io_delay_us(std::int64_t us);
-std::int64_t io_delay_us();
 
 }  // namespace pmps::em

@@ -22,11 +22,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 
 namespace pmps::em {
 
 class BlockFile;
-class IoExecutor;
 
 /// Aggregated spill counters — a plain-value snapshot of SpillStats,
 /// suitable for reports and bench JSON.
@@ -40,13 +40,12 @@ struct SpillTotals {
   std::int64_t external_merges = 0; ///< block-granular k-way merges performed
   std::int64_t merge_passes = 0;    ///< extra fan-in-bounded merge passes
 
-  // Overlap counters (all zero on the synchronous PMPS_EM_IO=sync path).
-  std::int64_t writes_behind = 0;   ///< blocks flushed through the dirty queue
-  std::int64_t write_coalesced = 0; ///< dirty blocks merged into a neighbour's syscall
-  std::int64_t prefetch_hits = 0;   ///< read-ahead windows already complete when consumed
-  std::int64_t prefetch_misses = 0; ///< windows the consumer had to block for
-  std::int64_t inflight_hwm_bytes = 0;  ///< dirty-queue high-water mark, bytes
-  double io_wait_sec = 0;           ///< host seconds PEs spent blocked on spill I/O
+  // Always zero: kept only for the benchmark (see the end of this file).
+  std::int64_t writes_behind = 0;
+  std::int64_t write_coalesced = 0;
+  std::int64_t prefetch_hits = 0;
+  std::int64_t prefetch_misses = 0;
+  double io_wait_sec = 0;
 
   bool spilled() const { return bytes_written > 0; }
 };
@@ -74,27 +73,6 @@ class SpillStats {
   void count_merge_pass() {
     merge_passes.fetch_add(1, std::memory_order_relaxed);
   }
-  void count_write_behind() {
-    writes_behind.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_coalesced() {
-    write_coalesced.fetch_add(1, std::memory_order_relaxed);
-  }
-  void count_prefetch(bool hit) {
-    (hit ? prefetch_hits : prefetch_misses)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Raises the dirty-queue high-water mark to `bytes` if above it.
-  void note_inflight(std::int64_t bytes) {
-    std::int64_t cur = inflight_hwm_bytes.load(std::memory_order_relaxed);
-    while (bytes > cur && !inflight_hwm_bytes.compare_exchange_weak(
-                              cur, bytes, std::memory_order_relaxed)) {
-    }
-  }
-  void count_io_wait(double sec) {
-    io_wait_ns.fetch_add(static_cast<std::int64_t>(sec * 1e9),
-                         std::memory_order_relaxed);
-  }
 
   /// Plain-value copy of the counters.
   SpillTotals totals() const {
@@ -107,14 +85,6 @@ class SpillStats {
     t.external_sorts = external_sorts.load(std::memory_order_relaxed);
     t.external_merges = external_merges.load(std::memory_order_relaxed);
     t.merge_passes = merge_passes.load(std::memory_order_relaxed);
-    t.writes_behind = writes_behind.load(std::memory_order_relaxed);
-    t.write_coalesced = write_coalesced.load(std::memory_order_relaxed);
-    t.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    t.prefetch_misses = prefetch_misses.load(std::memory_order_relaxed);
-    t.inflight_hwm_bytes =
-        inflight_hwm_bytes.load(std::memory_order_relaxed);
-    t.io_wait_sec =
-        static_cast<double>(io_wait_ns.load(std::memory_order_relaxed)) / 1e9;
     return t;
   }
 
@@ -126,12 +96,6 @@ class SpillStats {
   std::atomic<std::int64_t> external_sorts{0};
   std::atomic<std::int64_t> external_merges{0};
   std::atomic<std::int64_t> merge_passes{0};
-  std::atomic<std::int64_t> writes_behind{0};
-  std::atomic<std::int64_t> write_coalesced{0};
-  std::atomic<std::int64_t> prefetch_hits{0};
-  std::atomic<std::int64_t> prefetch_misses{0};
-  std::atomic<std::int64_t> inflight_hwm_bytes{0};
-  std::atomic<std::int64_t> io_wait_ns{0};
 };
 
 /// Per-PE element-storage budget. The default (bytes == 0) means unlimited:
@@ -153,13 +117,8 @@ struct MemoryBudget {
   /// file must have been created with this budget's block_bytes.
   BlockFile* shared_file = nullptr;
 
-  /// Optional asynchronous I/O executor. When set, every RunStore built
-  /// from this budget runs write-behind (sealed blocks flushed in the
-  /// background through a bounded dirty queue) and read-ahead
-  /// (RunCursor/StoreStream double-buffered prefetch). Null keeps the
-  /// synchronous PR-9 path (PMPS_EM_IO=sync). Scheduling is host-side
-  /// only: outputs and virtual times are bit-identical either way.
-  IoExecutor* io = nullptr;
+  /// Never read: kept only for the benchmark (see the end of this file).
+  void* io = nullptr;
 
   bool enabled() const { return bytes > 0; }
 
@@ -167,17 +126,21 @@ struct MemoryBudget {
   bool should_spill(std::int64_t payload_bytes) const {
     return enabled() && payload_bytes > bytes;
   }
+};
 
-  /// Write-behind bound: the most un-flushed dirty-queue bytes one store
-  /// may hold before appends wait for the oldest flush. Charged against
-  /// the same budget figure (a quarter of it), floored at two blocks so
-  /// tiny test budgets still overlap, capped so a generous budget cannot
-  /// buffer the whole dataset in dirty pages.
-  std::int64_t write_behind_cap() const {
-    const std::int64_t floor_ = 2 * block_bytes;
-    const std::int64_t cap_ = std::int64_t{8} << 20;  // 8 MiB
-    const std::int64_t quarter = bytes / 4;
-    return quarter < floor_ ? floor_ : (quarter > cap_ ? cap_ : quarter);
+// ---------------------------------------------------------------------------
+// Kept only for the benchmark. sortbench/sortbench.cpp still names the
+// asynchronous spill I/O mode that was removed; spill I/O is synchronous
+// (docs/EM.md). Nothing in the library reads MemoryBudget::io, the five
+// overlap fields of SpillTotals stay zero, and no IoExecutor is ever built.
+// Delete this block together with those names in sortbench.
+enum class IoMode { kSync, kAsync };
+inline IoMode io_mode_from_env() { return IoMode::kSync; }
+inline int io_threads_from_env() { return 0; }
+class IoExecutor {
+ public:
+  IoExecutor(int /*threads*/, IoMode /*mode*/) {
+    throw std::logic_error("asynchronous spill I/O was removed");
   }
 };
 

@@ -1,31 +1,16 @@
-// RunCursor / StoreStream: read cursors over a RunStore, with read-ahead.
+// RunCursor: a block-granular read cursor over one run of a RunStore.
 //
-// RunCursor is a block-granular cursor over ONE run: next_window() loads the
-// run's next block and returns it as a span — the refill source for the
-// external multiway merge, which feeds seq::LoserTree::pop_bulk from these
-// windows instead of whole in-memory spans.
-//
-// StoreStream is a sequential element reader over the store's *content*
-// (the concatenation of all runs, as read_range addresses it) with seek():
-// the streaming-classification passes and plan_delivery_from_store walk a
-// spilled partition through it.
-//
-// Read-ahead (store.async_io()): both readers double-buffer. While the
-// consumer works through the front block, the next block's read is already
-// in flight on the IoExecutor into the back buffer; advancing awaits the
-// pending op (a *prefetch hit* when it already completed — SpillStats),
-// swaps buffers and immediately submits the following block. Prefetch depth
-// is one block per cursor — k merge cursors thus keep up to k reads in
-// flight while costing 2k pooled block buffers instead of k. In sync mode
-// (PMPS_EM_IO=sync) both readers degrade to the PR-9 synchronous
-// read_block/read_range calls and hold a single buffer. Either way the
-// elements delivered are bit-identical — scheduling is host-side only.
+// next_window() loads the run's next block into the cursor's (pooled)
+// buffer and returns it as a span — the refill source for the external
+// multiway merge, which feeds seq::LoserTree::pop_bulk from these windows
+// instead of whole in-memory spans. A cursor owns exactly one block buffer,
+// acquired from the store's free list on construction and returned on
+// destruction, so k live cursors cost k blocks of memory total.
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -42,18 +27,10 @@ class RunCursor {
       : store_(store),
         run_(run),
         remaining_(store->run_size(run)),
-        buf_(store->acquire_buffer()) {
-    if (store_->async_io() && remaining_ > 0) {
-      back_ = store_->acquire_buffer();
-      start_prefetch();
-    }
-  }
+        buf_(store->acquire_buffer()) {}
 
   ~RunCursor() {
-    if (store_ == nullptr) return;
-    if (pending_ != nullptr) store_->await_read(pending_, /*count=*/false);
-    store_->release_buffer(std::move(buf_));
-    store_->release_buffer(std::move(back_));  // ignored when never acquired
+    if (store_ != nullptr) store_->release_buffer(std::move(buf_));
   }
 
   RunCursor(const RunCursor&) = delete;
@@ -64,10 +41,7 @@ class RunCursor {
         run_(other.run_),
         next_block_(other.next_block_),
         remaining_(other.remaining_),
-        buf_(std::move(other.buf_)),
-        back_(std::move(other.back_)),
-        pending_(std::exchange(other.pending_, nullptr)),
-        pending_len_(other.pending_len_) {}
+        buf_(std::move(other.buf_)) {}
   RunCursor& operator=(RunCursor&&) = delete;
 
   /// Elements not yet returned by next_window().
@@ -78,17 +52,6 @@ class RunCursor {
   /// valid until the next call (it views the cursor's buffer).
   std::span<const T> next_window() {
     if (remaining_ == 0) return {};
-    if (pending_ != nullptr) {
-      // Read-ahead path: consume the in-flight block, refill behind it.
-      store_->await_read(pending_);
-      pending_ = nullptr;
-      std::swap(buf_, back_);
-      const std::int64_t len = pending_len_;
-      ++next_block_;
-      remaining_ -= len;
-      if (remaining_ > 0) start_prefetch();
-      return std::span<const T>(buf_.data(), static_cast<std::size_t>(len));
-    }
     const std::int64_t len =
         std::min(store_->elems_per_block(), remaining_);
     std::span<T> window(buf_.data(), static_cast<std::size_t>(len));
@@ -98,156 +61,11 @@ class RunCursor {
   }
 
  private:
-  /// Submits the read of block next_block_ (the next one to hand out) into
-  /// the back buffer.
-  void start_prefetch() {
-    pending_len_ = std::min(store_->elems_per_block(), remaining_);
-    pending_ = store_->start_read_block(
-        run_, next_block_,
-        std::span<T>(back_.data(), static_cast<std::size_t>(pending_len_)));
-  }
-
   RunStore<T>* store_;
   int run_;
   std::int64_t next_block_ = 0;
   std::int64_t remaining_;
   std::vector<T> buf_;
-  std::vector<T> back_;                   ///< prefetch target (async only)
-  IoExecutor::Op* pending_ = nullptr;     ///< in-flight read of next_block_
-  std::int64_t pending_len_ = 0;
-};
-
-/// Sequential reader over a store's content — the spilled partition as one
-/// flat sequence — with seek(). In async mode it prefetches whole blocks
-/// double-buffered and serves read() by copying out of the front window;
-/// in sync mode read() passes through to RunStore::read_range. Reads must
-/// stay within the content written before streaming began.
-template <Sortable T>
-class StoreStream {
- public:
-  explicit StoreStream(RunStore<T>& store, std::int64_t pos = 0)
-      : store_(&store), epb_(store.elems_per_block()) {
-    if (store_->async_io()) {
-      front_ = store_->acquire_buffer();
-      back_ = store_->acquire_buffer();
-    }
-    seek(pos);
-  }
-
-  ~StoreStream() {
-    discard_pending();
-    store_->release_buffer(std::move(front_));
-    store_->release_buffer(std::move(back_));
-  }
-
-  StoreStream(const StoreStream&) = delete;
-  StoreStream& operator=(const StoreStream&) = delete;
-
-  /// Content position of the next element read() will deliver.
-  std::int64_t pos() const { return pos_; }
-
-  /// Repositions the stream; in async mode the prefetch restarts at the
-  /// block containing `pos` (0 ≤ pos ≤ total).
-  void seek(std::int64_t pos) {
-    PMPS_ASSERT(pos >= 0 && pos <= store_->total());
-    pos_ = pos;
-    if (!store_->async_io()) return;
-    discard_pending();
-    front_len_ = 0;
-    off_ = 0;
-    if (pos_ < store_->total()) {
-      const auto [run, in_run] = store_->locate(pos_);
-      seek_off_ = in_run % epb_;
-      submit(run, in_run / epb_);
-    }
-  }
-
-  /// Reads the next out.size() elements of the content, advancing the
-  /// stream.
-  void read(std::span<T> out) {
-    PMPS_ASSERT(pos_ + static_cast<std::int64_t>(out.size()) <=
-                store_->total());
-    if (out.empty()) return;
-    if (!store_->async_io()) {
-      store_->read_range(pos_, out);
-      pos_ += static_cast<std::int64_t>(out.size());
-      return;
-    }
-    std::size_t done = 0;
-    while (done < out.size()) {
-      if (off_ == front_len_) advance_window();
-      const auto len = std::min(static_cast<std::size_t>(front_len_ - off_),
-                                out.size() - done);
-      std::memcpy(out.data() + done, front_.data() + off_, len * sizeof(T));
-      off_ += static_cast<std::int64_t>(len);
-      done += len;
-    }
-    pos_ += static_cast<std::int64_t>(out.size());
-  }
-
-  /// Reads one element (splitter sampling over a spilled partition).
-  T read_one() {
-    T v;
-    read(std::span<T>(&v, 1));
-    return v;
-  }
-
- private:
-  void discard_pending() {
-    if (pending_ == nullptr) return;
-    store_->await_read(pending_, /*count=*/false);
-    pending_ = nullptr;
-  }
-
-  /// Submits the prefetch of block `block` of run `run` into the back
-  /// buffer and records its identity for the successor computation.
-  void submit(int run, std::int64_t block) {
-    pend_run_ = run;
-    pend_block_ = block;
-    pending_len_ =
-        std::min(epb_, store_->run_size(run) - block * epb_);
-    pending_ = store_->start_read_block(
-        run, block,
-        std::span<T>(back_.data(), static_cast<std::size_t>(pending_len_)));
-  }
-
-  /// Makes the pending window current and submits its successor (next
-  /// block of the run, else the first block of the next non-empty run).
-  void advance_window() {
-    PMPS_ASSERT(pending_ != nullptr);
-    store_->await_read(pending_);
-    pending_ = nullptr;
-    std::swap(front_, back_);
-    front_len_ = pending_len_;
-    off_ = seek_off_;
-    seek_off_ = 0;
-    const int run = pend_run_;
-    const std::int64_t block = pend_block_;
-    if ((block + 1) * epb_ < store_->run_size(run)) {
-      submit(run, block + 1);
-      return;
-    }
-    for (int r = run + 1; r < store_->runs(); ++r) {
-      if (store_->run_size(r) > 0) {
-        submit(r, 0);
-        return;
-      }
-    }
-  }
-
-  RunStore<T>* store_;
-  std::int64_t epb_;
-  std::int64_t pos_ = 0;
-  // Async-mode window state.
-  std::vector<T> front_;
-  std::vector<T> back_;
-  std::int64_t front_len_ = 0;  ///< elements in the front window
-  std::int64_t off_ = 0;        ///< consumed elements of the front window
-  std::int64_t seek_off_ = 0;   ///< offset to apply when pending lands
-  IoExecutor::Op* pending_ = nullptr;
-  std::int64_t pending_len_ = 0;  ///< elements of the pending window
-  int pend_run_ = -1;
-  std::int64_t pend_block_ = -1;
 };
 
 }  // namespace pmps::em

@@ -33,26 +33,14 @@
 // block of this store's element type — release_buffer drops smaller ones —
 // so the warm path never regrows, even for 100-byte records.
 //
-// Write-behind (budget.io set — PMPS_EM_IO=async, the default): a sealed
-// block's slot range is still reserved synchronously (metadata and the
-// contiguity invariant are unchanged), but its bytes ride a bounded *dirty
-// queue* and are flushed by the IoExecutor's background threads while the
-// owning fiber keeps computing. Blocks whose slots are adjacent — and whose
-// predecessor filled its slots exactly — coalesce into one gather-write
-// (up to IoExecutor::kMaxIov blocks per syscall). The queue is bounded by
-// MemoryBudget::write_behind_cap(); appends over the bound wait for the
-// oldest flush. Every read first *settles* overlapping pending writes by
-// slot range, so readers always see complete data; non-overlapping reads
-// (the normal case — fresh appends get fresh slots) never wait. Dirty
-// nodes, their block buffers and the executor's completion records are all
-// pooled, so the warm spill path allocates nothing (tests/test_alloc.cpp).
+// All I/O is synchronous and positional, on the calling PE's own thread
+// (docs/EM.md, "Spill I/O is synchronous"): an append has written its
+// bytes when it returns, so every read sees complete data.
 
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <utility>
@@ -61,7 +49,6 @@
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "em/block_file.hpp"
-#include "em/io_executor.hpp"
 #include "em/memory_budget.hpp"
 
 namespace pmps::em {
@@ -78,15 +65,9 @@ class RunStore {
     }
     elems_per_block_ = std::max<std::int64_t>(
         1, file_->block_bytes() / static_cast<std::int64_t>(sizeof(T)));
-    write_behind_cap_ = budget_.write_behind_cap();
   }
 
-  /// Flushes and waits out every pending write-behind op (drain()).
-  ~RunStore() { drain(); }
-
   std::int64_t elems_per_block() const { return elems_per_block_; }
-  /// True when spill I/O runs asynchronously through budget.io.
-  bool async_io() const { return budget_.io != nullptr; }
   SpillStats* stats() const { return budget_.stats; }
   const MemoryBudget& budget() const { return budget_; }
   int runs() const { return static_cast<int>(runs_.size()); }
@@ -111,38 +92,14 @@ class RunStore {
   /// Appends one block of elements to run `run`. Every block but a run's
   /// last must be full (elems_per_block elements) so per-block lengths stay
   /// derivable from the run length — hence the precondition that the run's
-  /// current size is block-aligned. In async mode the bytes are staged into
-  /// a pooled buffer for the dirty queue; streaming writers avoid that copy
-  /// via append_block_buffer_to_run.
+  /// current size is block-aligned.
   void append_block_to_run(int run, std::span<const T> elems) {
-    if (async_io()) {
-      std::vector<T> buf = acquire_buffer();
-      buf.resize(elems.size());
-      std::memcpy(buf.data(), elems.data(), elems.size_bytes());
-      append_block_buffer_to_run(run, std::move(buf));
-      return;
-    }
-    RunMeta& m = checked_run_for_append(run, elems.size());
+    PMPS_ASSERT(run >= 0 && run < runs());
+    const auto len = static_cast<std::int64_t>(elems.size());
+    PMPS_ASSERT(len > 0 && len <= elems_per_block_);
+    RunMeta& m = runs_[static_cast<std::size_t>(run)];
+    PMPS_ASSERT(m.n % elems_per_block_ == 0);
     m.slots.push_back(file_->append(std::as_bytes(elems), stats()));
-    m.n += static_cast<std::int64_t>(elems.size());
-    total_ += static_cast<std::int64_t>(elems.size());
-  }
-
-  /// Appends one block to `run`, taking ownership of `buf` — a pooled
-  /// block-sized buffer holding buf.size() elements. The write-behind fast
-  /// path: the buffer itself goes on the dirty queue (no staging copy) and
-  /// returns to the free list once its background flush completes. In sync
-  /// mode this writes inline and releases the buffer immediately.
-  void append_block_buffer_to_run(int run, std::vector<T>&& buf) {
-    RunMeta& m = checked_run_for_append(run, buf.size());
-    const auto len = static_cast<std::int64_t>(buf.size());
-    if (!async_io()) {
-      m.slots.push_back(file_->append(
-          std::as_bytes(std::span<const T>(buf.data(), buf.size())), stats()));
-      release_buffer(std::move(buf));
-    } else {
-      append_async(m, std::move(buf));
-    }
     m.n += len;
     total_ += len;
   }
@@ -164,34 +121,13 @@ class RunStore {
   /// Reads block `block` of run `run` into `out`, which must be sized to
   /// the block's exact length (elems_per_block, except a shorter tail).
   void read_block(int run, std::int64_t block, std::span<T> out) {
-    const std::int64_t slot = block_slot_checked(run, block, out.size());
-    settle_range(slot, file_->slots_for(
-                           static_cast<std::int64_t>(out.size_bytes())));
-    file_->read(slot, 0, std::as_writable_bytes(out), stats());
-  }
-
-  /// Submits an asynchronous read of block `block` of run `run` into `out`
-  /// (async mode only; `out` as for read_block). Overlapping pending
-  /// writes are settled first. Finish the ticket with await_read — the
-  /// cursor/stream prefetch path.
-  IoExecutor::Op* start_read_block(int run, std::int64_t block,
-                                   std::span<T> out) {
-    PMPS_ASSERT(async_io());
-    const std::int64_t slot = block_slot_checked(run, block, out.size());
-    const auto bytes = static_cast<std::int64_t>(out.size_bytes());
-    settle_range(slot, file_->slots_for(bytes));
-    if (stats() != nullptr) stats()->count_read(bytes);
-    return budget_.io->submit_read(file_->fd(), file_->offset(slot),
-                                   std::as_writable_bytes(out));
-  }
-
-  /// Completes a start_read_block ticket. `count` distinguishes a consumed
-  /// prefetch (hit/miss accounting) from a discarded one (cursor teardown).
-  void await_read(IoExecutor::Op* op, bool count = true) {
-    if (count && stats() != nullptr) stats()->count_prefetch(
-        IoExecutor::poll(op));
-    const double waited = budget_.io->wait(op);
-    if (waited > 0 && stats() != nullptr) stats()->count_io_wait(waited);
+    PMPS_ASSERT(run >= 0 && run < runs());
+    const RunMeta& m = runs_[static_cast<std::size_t>(run)];
+    PMPS_ASSERT(block >= 0 && block * elems_per_block_ < m.n);
+    PMPS_ASSERT(static_cast<std::int64_t>(out.size()) ==
+                std::min(elems_per_block_, m.n - block * elems_per_block_));
+    file_->read(m.slots[static_cast<std::size_t>(block)], 0,
+                std::as_writable_bytes(out), stats());
   }
 
   /// Reads elements [pos, pos + out.size()) of the store's *content* — the
@@ -223,35 +159,14 @@ class RunStore {
       const std::int64_t len =
           std::min(block_len - in_block,
                    static_cast<std::int64_t>(out.size() - done));
-      const std::int64_t slot = m.slots[static_cast<std::size_t>(block)];
-      const std::int64_t byte_off =
-          in_block * static_cast<std::int64_t>(sizeof(T));
-      settle_range(slot, file_->slots_for(
-                             byte_off +
-                             len * static_cast<std::int64_t>(sizeof(T))));
-      file_->read(slot, byte_off,
+      file_->read(m.slots[static_cast<std::size_t>(block)],
+                  in_block * static_cast<std::int64_t>(sizeof(T)),
                   std::as_writable_bytes(
                       out.subspan(done, static_cast<std::size_t>(len))),
                   stats());
       done += static_cast<std::size_t>(len);
       in_run += len;
     }
-  }
-
-  /// Maps content position `pos` (0 ≤ pos < total) to (run, offset in run),
-  /// with the run advanced past empty predecessors — the entry point of the
-  /// StoreStream sequential readers.
-  std::pair<int, std::int64_t> locate(std::int64_t pos) {
-    PMPS_ASSERT(pos >= 0 && pos < total_);
-    rebuild_prefix();
-    auto it = std::upper_bound(prefix_.begin(), prefix_.end(), pos);
-    auto r = static_cast<std::size_t>(it - prefix_.begin()) - 1;
-    std::int64_t in_run = pos - prefix_[r];
-    while (in_run == runs_[r].n) {  // skip empty/consumed runs
-      ++r;
-      in_run = 0;
-    }
-    return {static_cast<int>(r), in_run};
   }
 
   /// Reads the single element at content position `pos` (splitter-sample
@@ -304,186 +219,11 @@ class RunStore {
     free_buffers_.push_back(std::move(buf));
   }
 
-  /// Submits the open coalescing window and waits out every pending
-  /// write-behind op, recycling their buffers. No-op in sync mode.
-  void drain() {
-    if (!async_io()) return;
-    submit_open_op();
-    while (dirty_head_ < dirty_.size()) wait_oldest();
-  }
-
  private:
   struct RunMeta {
     std::vector<std::int64_t> slots;  ///< file slot of each logical block
     std::int64_t n = 0;               ///< elements in the run
   };
-
-  /// One write-behind operation: up to kMaxIov adjacent sealed blocks and
-  /// the pooled buffers that own their bytes. Nodes are pooled
-  /// (dirty_free_) so the warm path allocates nothing.
-  struct DirtyOp {
-    IoExecutor::Op* op = nullptr;  ///< null while still open for coalescing
-    std::int64_t first_slot = -1;
-    std::int64_t slots = 0;  ///< reserved slots covered
-    std::int64_t bytes = 0;
-    std::vector<std::vector<T>> bufs;  ///< owned block buffers, write order
-  };
-
-  RunMeta& checked_run_for_append(int run, std::size_t len) {
-    PMPS_ASSERT(run >= 0 && run < runs());
-    PMPS_ASSERT(len > 0 &&
-                static_cast<std::int64_t>(len) <= elems_per_block_);
-    (void)len;
-    RunMeta& m = runs_[static_cast<std::size_t>(run)];
-    PMPS_ASSERT(m.n % elems_per_block_ == 0);
-    return m;
-  }
-
-  std::int64_t block_slot_checked(int run, std::int64_t block,
-                                  std::size_t out_len) const {
-    PMPS_ASSERT(run >= 0 && run < runs());
-    const RunMeta& m = runs_[static_cast<std::size_t>(run)];
-    PMPS_ASSERT(block >= 0 && block * elems_per_block_ < m.n);
-    PMPS_ASSERT(static_cast<std::int64_t>(out_len) ==
-                std::min(elems_per_block_, m.n - block * elems_per_block_));
-    (void)out_len;
-    return m.slots[static_cast<std::size_t>(block)];
-  }
-
-  /// The async append path: reserve the slot range synchronously (metadata
-  /// identical to sync mode), coalesce into the open op when the slots are
-  /// adjacent, flush in the background, bound the queue.
-  void append_async(RunMeta& m, std::vector<T>&& buf) {
-    const auto bytes =
-        static_cast<std::int64_t>(buf.size() * sizeof(T));
-    const std::int64_t slot = file_->reserve(bytes);
-    if (stats() != nullptr) stats()->count_write(bytes);  // as in sync mode
-    m.slots.push_back(slot);
-    retire_completed();
-    const std::int64_t fb = file_->block_bytes();
-    if (open_op_ != nullptr && open_op_->first_slot + open_op_->slots == slot &&
-        open_op_->bytes == open_op_->slots * fb &&
-        static_cast<int>(open_op_->bufs.size()) < IoExecutor::kMaxIov) {
-      // Adjacent, and the window so far fills its slots exactly: this block
-      // joins the same gather-write.
-      open_op_->bufs.push_back(std::move(buf));
-      open_op_->slots += file_->slots_for(bytes);
-      open_op_->bytes += bytes;
-      if (stats() != nullptr) stats()->count_coalesced();
-    } else {
-      submit_open_op();
-      DirtyOp* d = acquire_dirty();
-      d->first_slot = slot;
-      d->slots = file_->slots_for(bytes);
-      d->bytes = bytes;
-      d->bufs.push_back(std::move(buf));
-      open_op_ = d;
-    }
-    if (stats() != nullptr) {
-      stats()->count_write_behind();
-      stats()->note_inflight(inflight_bytes_ + bytes);
-    }
-    inflight_bytes_ += bytes;
-    while (inflight_bytes_ > write_behind_cap_) {
-      if (dirty_head_ == dirty_.size()) {
-        if (open_op_ == nullptr) break;
-        submit_open_op();
-      }
-      wait_oldest();
-    }
-  }
-
-  DirtyOp* acquire_dirty() {
-    if (!dirty_free_.empty()) {
-      DirtyOp* d = dirty_free_.back();
-      dirty_free_.pop_back();
-      return d;
-    }
-    dirty_pool_.push_back(std::make_unique<DirtyOp>());  // cold path only
-    return dirty_pool_.back().get();
-  }
-
-  /// Closes the coalescing window: hands its buffers' spans to the
-  /// executor (which copies them into the op record) and moves the node to
-  /// the submitted FIFO.
-  void submit_open_op() {
-    DirtyOp* d = open_op_;
-    if (d == nullptr) return;
-    open_op_ = nullptr;
-    std::array<std::span<const std::byte>, IoExecutor::kMaxIov> iov;
-    for (std::size_t i = 0; i < d->bufs.size(); ++i)
-      iov[i] = std::as_bytes(
-          std::span<const T>(d->bufs[i].data(), d->bufs[i].size()));
-    d->op = budget_.io->submit_write(
-        file_->fd(), file_->offset(d->first_slot),
-        std::span<const std::span<const std::byte>>(iov.data(),
-                                                    d->bufs.size()));
-    dirty_.push_back(d);
-  }
-
-  /// Waits for the oldest submitted flush and recycles it (buffers back to
-  /// the free list, node back to the pool).
-  void wait_oldest() {
-    PMPS_ASSERT(dirty_head_ < dirty_.size());
-    DirtyOp* d = dirty_[dirty_head_++];
-    const double waited = budget_.io->wait(d->op);
-    if (waited > 0 && stats() != nullptr) stats()->count_io_wait(waited);
-    recycle_dirty(d);
-    if (dirty_head_ == dirty_.size()) {
-      dirty_.clear();  // keeps capacity
-      dirty_head_ = 0;
-    }
-  }
-
-  /// Recycles finished flushes from the FIFO head without blocking — the
-  /// owner-thread retire that keeps buffer reuse single-owner (only the
-  /// op's `done` atomic ever crosses threads).
-  void retire_completed() {
-    while (dirty_head_ < dirty_.size() &&
-           IoExecutor::poll(dirty_[dirty_head_]->op)) {
-      DirtyOp* d = dirty_[dirty_head_++];
-      budget_.io->wait(d->op);  // returns immediately; recycles the record
-      recycle_dirty(d);
-    }
-    if (dirty_head_ == dirty_.size()) {
-      dirty_.clear();
-      dirty_head_ = 0;
-    }
-  }
-
-  void recycle_dirty(DirtyOp* d) {
-    inflight_bytes_ -= d->bytes;
-    for (auto& b : d->bufs) release_buffer(std::move(b));
-    d->bufs.clear();  // keeps capacity
-    d->op = nullptr;
-    d->first_slot = -1;
-    d->slots = 0;
-    d->bytes = 0;
-    dirty_free_.push_back(d);
-  }
-
-  /// Makes slots [slot, slot + nslots) safe to read: submits the open
-  /// window if it overlaps and waits until no pending flush overlaps.
-  /// Non-overlapping reads return immediately — the common case, since
-  /// fresh appends always get fresh slot ranges.
-  void settle_range(std::int64_t slot, std::int64_t nslots) {
-    if (!async_io()) return;
-    const auto overlaps = [&](const DirtyOp* d) {
-      return slot < d->first_slot + d->slots && d->first_slot < slot + nslots;
-    };
-    if (open_op_ != nullptr && overlaps(open_op_)) submit_open_op();
-    for (;;) {
-      bool pending = false;
-      for (std::size_t i = dirty_head_; i < dirty_.size(); ++i) {
-        if (overlaps(dirty_[i])) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) return;
-      wait_oldest();
-    }
-  }
 
   void rebuild_prefix() {
     if (prefix_.size() == runs_.size() + 1) return;
@@ -501,15 +241,6 @@ class RunStore {
   std::int64_t total_ = 0;
   std::vector<std::int64_t> prefix_;  ///< content offset per run (lazy)
   std::vector<std::vector<T>> free_buffers_;
-
-  // Write-behind state (async mode only; all empty under PMPS_EM_IO=sync).
-  std::vector<std::unique_ptr<DirtyOp>> dirty_pool_;  ///< owns every node
-  std::vector<DirtyOp*> dirty_free_;
-  std::vector<DirtyOp*> dirty_;  ///< submitted flushes, FIFO
-  std::size_t dirty_head_ = 0;   ///< first un-retired entry of dirty_
-  DirtyOp* open_op_ = nullptr;   ///< coalescing window, not yet submitted
-  std::int64_t inflight_bytes_ = 0;  ///< bytes in open_op_ + dirty_
-  std::int64_t write_behind_cap_ = 0;
 };
 
 /// Streams one run into a RunStore block by block: push/append stage into a
@@ -560,11 +291,8 @@ class RunWriter {
 
  private:
   void flush_block() {
-    // Hand the sealed block itself to the store (write-behind takes
-    // ownership; sync mode writes inline and pools it) and start the next
-    // block in a fresh pooled buffer — no staging copy on either path.
-    store_->append_block_buffer_to_run(run_, std::move(buf_));
-    buf_ = store_->acquire_buffer();
+    store_->append_block_to_run(run_,
+                                std::span<const T>(buf_.data(), buf_.size()));
     buf_.clear();
   }
 

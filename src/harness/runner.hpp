@@ -18,7 +18,6 @@
 #include "baseline/single_level.hpp"
 #include "common/types.hpp"
 #include "em/block_file.hpp"
-#include "em/io_executor.hpp"
 #include "em/memory_budget.hpp"
 #include "harness/verify.hpp"
 #include "harness/workloads.hpp"
@@ -125,23 +124,10 @@ struct SortJobState {
       spill_file = std::make_unique<em::BlockFile>(budget.block_bytes);
       budget.shared_file = spill_file.get();
     }
-    // Spill I/O overlap (PMPS_EM_IO, default async): one IoExecutor per
-    // job drives write-behind and read-ahead for every PE's RunStore. A
-    // caller that already set budget.io keeps it (the service path shares
-    // one executor across jobs — see submit_sort_experiment).
-    if (budget.enabled() && budget.io == nullptr) {
-      const em::IoMode mode = em::io_mode_from_env();
-      if (mode != em::IoMode::kSync) {
-        io_executor =
-            std::make_unique<em::IoExecutor>(em::io_threads_from_env(), mode);
-        budget.io = io_executor.get();
-      }
-    }
   }
   RunConfig cfg;
   em::SpillStats spill_stats;
   std::unique_ptr<em::BlockFile> spill_file;  ///< one fd per job, all PEs
-  std::unique_ptr<em::IoExecutor> io_executor;  ///< null under PMPS_EM_IO=sync
   em::MemoryBudget budget;
   std::mutex mu;
   SortCheck check;
@@ -321,14 +307,7 @@ inline SortJob submit_sort_experiment(svc::SortService& service,
                                       const RunConfig& cfg) {
   net::MachineParams machine = cfg.machine;
   if (cfg.faults.any()) machine.model = cfg.faults.build(cfg.p, cfg.seed);
-  RunConfig job_cfg = cfg;
-  // Budgeted service jobs share the service's I/O executor (one background
-  // pool per service, like the substrate) instead of spinning up their own.
-  if (job_cfg.budget.enabled() && job_cfg.budget.io == nullptr &&
-      em::io_mode_from_env() != em::IoMode::kSync) {
-    job_cfg.budget.io = service.io_executor();
-  }
-  auto st = std::make_shared<SortJobState>(job_cfg);
+  auto st = std::make_shared<SortJobState>(cfg);
   svc::JobSpec spec;
   spec.num_pes = cfg.p;
   spec.machine = machine;

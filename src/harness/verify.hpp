@@ -104,22 +104,22 @@ SortCheck verify_sorted_output(Comm& comm, std::span<const T> output,
   order_ok = coll::bcast_one<std::uint8_t>(comm, order_ok, 0);
 
   const std::uint64_t out_hash = content_hash(output);
-  // Sum hashes and counts (wrap-around add via int64 reinterpret).
-  std::vector<std::int64_t> sums{
-      static_cast<std::int64_t>(out_hash),
-      static_cast<std::int64_t>(input_hash),
-      static_cast<std::int64_t>(output.size()),
-      input_count,
-      local_sorted ? 0 : 1,
-      static_cast<std::int64_t>(output_signature(comm.rank(), output)),
+  // Sum hashes and counts; unsigned, so the hash sums wrap around.
+  std::vector<std::uint64_t> sums{
+      out_hash,
+      input_hash,
+      static_cast<std::uint64_t>(output.size()),
+      static_cast<std::uint64_t>(input_count),
+      local_sorted ? 0u : 1u,
+      output_signature(comm.rank(), output),
   };
-  sums = coll::allreduce_add(comm, std::move(sums));
+  sums = coll::allreduce(comm, std::move(sums), std::plus<std::uint64_t>{});
 
   res.locally_sorted = sums[4] == 0;
   res.globally_ordered = order_ok != 0;
   res.permutation_ok = (sums[0] == sums[1]) && (sums[2] == sums[3]);
-  res.total = sums[2];
-  res.out_signature = static_cast<std::uint64_t>(sums[5]);
+  res.total = static_cast<std::int64_t>(sums[2]);
+  res.out_signature = sums[5];
   const std::int64_t max_local = coll::allreduce_one<std::int64_t>(
       comm, static_cast<std::int64_t>(output.size()),
       [](std::int64_t a, std::int64_t x) { return std::max(a, x); });

@@ -583,14 +583,6 @@ void FiberPool::block_current() {
   f->ctx.suspend();
 }
 
-void* FiberPool::current_fiber_handle() { return tl_current_fiber; }
-
-void FiberPool::wake_fiber_handle(void* handle) {
-  auto* f = static_cast<Fiber*>(handle);
-  PMPS_CHECK_MSG(f != nullptr, "wake_fiber_handle on a null handle");
-  f->pool->wake_fiber(f);
-}
-
 void FiberPool::wake_fiber(Fiber* f) {
   Shard& home = *impl_->shards[static_cast<std::size_t>(f->home)];
   for (;;) {

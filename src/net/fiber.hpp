@@ -167,18 +167,6 @@ class FiberPool {
   /// for this fiber has been issued.
   static void block_current();
 
-  /// Opaque handle to the calling fiber, for wakers that are not message
-  /// depositors and have no FiberBatch in scope — the em::IoExecutor's
-  /// completion threads. Returns nullptr when the caller is not on a pool
-  /// fiber (use a condition variable instead).
-  static void* current_fiber_handle();
-
-  /// Makes the fiber behind `handle` runnable again: the wake() half of the
-  /// blocking protocol for handle-based waiters. Call only after the fiber
-  /// stored the handle and called prepare_block() under a lock this waker
-  /// held when it read the handle.
-  static void wake_fiber_handle(void* handle);
-
   /// Worker-thread count the pool was built with (PMPS_FIBER_WORKERS or
   /// the hardware concurrency).
   int num_workers() const { return num_workers_; }
@@ -231,8 +219,6 @@ class FiberPool {
   static bool in_fiber() { return false; }
   static void prepare_block(bool = false) {}
   static void block_current() {}
-  static void* current_fiber_handle() { return nullptr; }
-  static void wake_fiber_handle(void*) {}
   int num_workers() const { return 0; }
   FiberStackStats stack_stats() const { return {}; }
   static bool reclaim_supported() { return false; }

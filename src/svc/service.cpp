@@ -128,15 +128,6 @@ ServiceStats SortService::stats() const {
   return stats_;
 }
 
-em::IoExecutor* SortService::io_executor() {
-  std::call_once(io_once_, [this] {
-    em::IoMode mode = em::io_mode_from_env();
-    if (mode == em::IoMode::kSync) mode = em::IoMode::kAsync;
-    io_ = std::make_unique<em::IoExecutor>(em::io_threads_from_env(), mode);
-  });
-  return io_.get();
-}
-
 void SortService::dispatcher_main() {
   std::unique_lock lock(mu_);
   for (;;) {

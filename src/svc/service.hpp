@@ -34,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "em/io_executor.hpp"
 #include "svc/job.hpp"
 #include "svc/job_queue.hpp"
 
@@ -107,15 +106,6 @@ class SortService {
     return substrate_;
   }
 
-  /// The service-wide spill I/O executor, created lazily on first use and
-  /// shared by every budgeted job (like the substrate: one background I/O
-  /// pool per service, not per job). Configured from PMPS_EM_IO /
-  /// PMPS_EM_IO_THREADS; under PMPS_EM_IO=sync callers should not ask for
-  /// it at all (the harness gates on the env mode), but a direct call
-  /// still yields a working async executor. Thread-safe; valid for the
-  /// service's lifetime.
-  em::IoExecutor* io_executor();
-
  private:
   void dispatcher_main();
   /// Starts `job` on a fresh engine (true) or resolves a pre-admission
@@ -131,8 +121,6 @@ class SortService {
   ServiceOptions opt_;
   net::EngineBackend backend_;
   std::shared_ptr<net::EngineSubstrate> substrate_;
-  std::once_flag io_once_;
-  std::unique_ptr<em::IoExecutor> io_;  ///< lazy; outlives every job's stores
 
   mutable std::mutex mu_;
   std::condition_variable cv_;        ///< dispatcher wakeups

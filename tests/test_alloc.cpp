@@ -251,16 +251,13 @@ TEST(AllocCount, RunCursorRecord100WindowsAllocationFreeWhenWarm) {
   EXPECT_EQ(allocs, 0);
 }
 
-TEST(AllocCount, AsyncSpillWarmPathAllocationFree) {
-  // The write-behind spill path with background I/O: once the dirty-node
-  // pool, the executor's completion records and the block-buffer pool are
-  // warm, appending + draining + reading back allocates exactly nothing —
-  // on the submitting thread AND the I/O threads (the counter is global).
-  em::IoExecutor io(2);
+TEST(AllocCount, SpillWarmPathAllocationFree) {
+  // The spill write path: once the spill file exists and the block-buffer
+  // pool is warm, appending blocks and reading them back allocates exactly
+  // nothing.
   em::MemoryBudget budget;
   budget.bytes = 1;
   budget.block_bytes = 8 * static_cast<std::int64_t>(sizeof(std::uint64_t));
-  budget.io = &io;
   em::RunStore<std::uint64_t> store(budget);
   const int run = store.begin_run();
   std::uint64_t block[8];
@@ -271,7 +268,6 @@ TEST(AllocCount, AsyncSpillWarmPathAllocationFree) {
       store.append_block_to_run(
           run, std::span<const std::uint64_t>(block, 8));
     }
-    store.drain();
   };
   std::uint64_t sink = 0;
   const auto read_blocks = [&] {
@@ -283,8 +279,7 @@ TEST(AllocCount, AsyncSpillWarmPathAllocationFree) {
     store.release_buffer(std::move(buf));
   };
   // Warm-up: 96 blocks leaves the run's slot vector at capacity 128, so
-  // the measured 12 appends cannot regrow it; every pool reaches its
-  // steady-state depth.
+  // the measured 12 appends cannot regrow it.
   append_blocks(96);
   read_blocks();
   const std::int64_t allocs = count_allocs([&] {
@@ -293,29 +288,6 @@ TEST(AllocCount, AsyncSpillWarmPathAllocationFree) {
   });
   EXPECT_EQ(allocs, 0);
   if (sink == 0xdeadbeef) std::abort();  // keep the reads observable
-}
-
-TEST(AllocCount, AsyncCursorPrefetchAllocationFreeWhenWarm) {
-  em::IoExecutor io(1);
-  em::MemoryBudget budget;
-  budget.bytes = 1;
-  budget.block_bytes = 8 * static_cast<std::int64_t>(sizeof(std::uint64_t));
-  budget.io = &io;
-  em::RunStore<std::uint64_t> store(budget);
-  std::vector<std::uint64_t> run(60);
-  for (std::size_t i = 0; i < run.size(); ++i)
-    run[i] = static_cast<std::uint64_t>(i);
-  store.append_run({run.data(), run.size()});
-  const auto walk = [&] {
-    em::RunCursor<std::uint64_t> cur(&store, 0);
-    std::size_t seen = 0;
-    for (auto w = cur.next_window(); !w.empty(); w = cur.next_window())
-      seen += w.size();
-    if (seen != run.size()) std::abort();
-  };
-  walk();  // warm: both double-buffer blocks and the op records are pooled
-  const std::int64_t allocs = count_allocs(walk);
-  EXPECT_EQ(allocs, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 // Tests for the out-of-core subsystem (src/em/): block-granular run
-// storage, the external multiway merge and its edge cases (empty runs,
-// single-block runs, all-equal keys), out-of-core local sort, and the
-// spill-vs-in-memory equivalence of the AMS/RLM/GV sorters — bit-identical
-// outputs, identical verify checksums, identical virtual time.
+// storage, the full-transfer positional I/O under short transfers, the
+// external multiway merge and its edge cases (empty runs, single-block
+// runs, all-equal keys), out-of-core local sort, and the spill-vs-in-memory
+// equivalence of the AMS/RLM/GV sorters — bit-identical outputs, identical
+// verify checksums, identical virtual time — across fiber worker counts and
+// engine backends (the determinism wall).
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -19,12 +23,14 @@
 #include "common/types.hpp"
 #include "em/block_file.hpp"
 #include "em/external_merge.hpp"
+#include "em/io.hpp"
 #include "em/run_cursor.hpp"
 #include "em/run_store.hpp"
 #include "harness/runner.hpp"
 #include "harness/verify.hpp"
 #include "harness/workloads.hpp"
 #include "net/engine.hpp"
+#include "net/fiber.hpp"
 #include "rlm/rlm_sort.hpp"
 
 namespace pmps {
@@ -172,6 +178,25 @@ TEST(BlockFile, RecordsFatterThanBlocksRoundTripThroughRunStore) {
   EXPECT_EQ(std::memcmp(mid.data(), run.data() + 2, 3 * sizeof(Record100)), 0);
   EXPECT_EQ(stats.totals().bytes_written,
             static_cast<std::int64_t>(run.size() * sizeof(Record100)));
+}
+
+// ---------------------------------------------------------------------------
+// em/io.hpp: full-transfer loops under injected short transfers
+// ---------------------------------------------------------------------------
+
+TEST(IoFull, RoundTripUnderShortTransfers) {
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  std::vector<std::byte> data(1000);
+  for (std::size_t i = 0; i < data.size(); ++i)
+    data[i] = static_cast<std::byte>((i * 131 + 36) & 0xff);
+  em::set_io_chunk_limit_for_testing(3);  // every syscall moves ≤ 3 bytes
+  em::pwrite_full(::fileno(f), 17, data);
+  std::vector<std::byte> back(data.size());
+  em::pread_full(::fileno(f), 17, back);
+  em::set_io_chunk_limit_for_testing(0);
+  std::fclose(f);
+  EXPECT_EQ(back, data);
 }
 
 // ---------------------------------------------------------------------------
@@ -503,6 +528,52 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Workload::kUniform,
                                          Workload::kAllEqual,
                                          Workload::kSortedGlobal)));
+
+// ---------------------------------------------------------------------------
+// Determinism wall: fiber worker counts × engine backends
+// ---------------------------------------------------------------------------
+
+TEST(DeterminismWall, WorkersBackendsBitIdentical) {
+  // Budgeted sorts that spill at every stage must produce the same output
+  // and the same virtual time however the PEs are scheduled.
+  struct Obs {
+    std::uint64_t sig;
+    double wall;
+  };
+  std::vector<Obs> obs;  // one per algorithm, from the first configuration
+  for (const char* workers : {"1", "3"}) {
+    ::setenv("PMPS_FIBER_WORKERS", workers, 1);
+    for (const auto backend :
+         {net::EngineBackend::kFibers, net::EngineBackend::kThreads}) {
+      if (backend == net::EngineBackend::kFibers && !net::fibers_supported())
+        continue;
+      std::size_t a = 0;
+      for (const auto algo : {Algorithm::kAms, Algorithm::kRlm}) {
+        RunConfig cfg;
+        cfg.p = 8;
+        cfg.n_per_pe = 600;
+        cfg.algorithm = algo;
+        cfg.budget.bytes = 1536;  // forces spilling at every stage
+        cfg.budget.block_bytes = 512;
+        cfg.seed = 23;
+        cfg.backend = backend;
+        const auto res = harness::run_sort_experiment(cfg);
+        ASSERT_TRUE(res.check.ok());
+        EXPECT_GT(res.spill.bytes_written, 0);
+        if (obs.size() <= a) {
+          obs.push_back({res.check.out_signature, res.wall_time()});
+        } else {
+          EXPECT_EQ(res.check.out_signature, obs[a].sig)
+              << "output differs: workers=" << workers;
+          EXPECT_EQ(res.wall_time(), obs[a].wall)
+              << "virtual time differs: workers=" << workers;
+        }
+        ++a;
+      }
+    }
+  }
+  ::unsetenv("PMPS_FIBER_WORKERS");
+}
 
 // ---------------------------------------------------------------------------
 // Acceptance: over-budget AMS through the harness

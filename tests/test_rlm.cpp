@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "harness/runner.hpp"
@@ -20,7 +22,11 @@ struct RlmCase {
   int levels;
   std::int64_t n_per_pe;
   Workload workload;
+  std::int32_t unused = 0;  ///< fills the tail padding
 };
+// gtest names each case by printing its raw bytes: padding bytes would put
+// garbage into the name and make the CTest list differ from run to run.
+static_assert(std::has_unique_object_representations_v<RlmCase>);
 
 class RlmSortCorrectness : public ::testing::TestWithParam<RlmCase> {};
 
