@@ -3,16 +3,17 @@
 // path (kept here, verbatim in structure, as the "before" baseline — the
 // library API itself is SendPlan-only now).
 //
-// What the SendPlan removes is *allocation*, not communication: the PR-4
-// path materialised one heap vector per outgoing piece (OutMessage), two
-// fresh Θ(p) count vectors per exchange and per-round receive vectors in
-// the Bruck counts exchange and the termination barrier. The flat path
-// writes pieces into one contiguous plan buffer, keeps the count/Bruck
-// scratch per PE, and receives counts/tokens in place — on top of the slab
-// mailbox both variants share. Both variants exchange byte-identical
-// messages, which --check asserts the strong way: their virtual times and
-// payload checksums must match exactly, and the flat path must be faster
-// at every p ≥ 1024.
+// The baseline (namespace legacy) materialised one heap vector per
+// outgoing piece (OutMessage), two fresh Θ(p) count vectors per exchange
+// and per-round receive vectors in the Bruck counts exchange and the
+// termination barrier, and sends one mailbox message per piece. The library path
+// writes pieces into one contiguous plan buffer and, on this clean
+// machine, takes the bulk sparse exchange: no messages at all, each
+// receiver reading its pieces in place from the senders' plans
+// (docs/DESIGN.md §14). Both variants charge identical messages, which
+// --check asserts the strong way: their virtual times and payload
+// checksums must match exactly, and the library path must be faster at
+// every p ≥ 1024.
 //
 // Results land in BENCH_micro_delivery.json — the send path's entry in the
 // perf trajectory next to BENCH_micro_engine / BENCH_micro_collectives.

@@ -154,7 +154,7 @@ int ams_smoke(std::uint64_t seed, double max_rss_gb) {
   std::printf(
       "ams-smoke: peak stack %s MiB resident / %s MiB reserved "
       "(%lld stacks, %lld acquires, %lld reclaims), mailbox hw %lld nodes "
-      "across %d shards, %lld barrier FFs, %lld count tallies\n",
+      "across %d shards, %lld barrier FFs, %lld bulk exchanges\n",
       fmt_mib(es.peak_stack_bytes).c_str(),
       fmt_mib(es.stack_bytes_reserved).c_str(),
       static_cast<long long>(es.stacks),
@@ -162,7 +162,7 @@ int ams_smoke(std::uint64_t seed, double max_rss_gb) {
       static_cast<long long>(es.stack_reclaims),
       static_cast<long long>(es.mailbox_nodes_total_high_water),
       es.mailbox_shards, static_cast<long long>(es.collective_fast_forwards),
-      static_cast<long long>(es.count_tallies));
+      static_cast<long long>(es.bulk_exchanges));
   if (rss > 0)
     std::printf("ams-smoke: peak RSS %.2f GiB (ceiling %.1f GiB)\n",
                 static_cast<double>(rss) / (1u << 30), max_rss_gb);

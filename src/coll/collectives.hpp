@@ -44,12 +44,16 @@
 //                            termination-detection barrier; used by the data
 //                            delivery algorithms of §4.3 so that their O(r)
 //                            startup guarantees are visible in virtual time.
+//                            On a clean network it delivers the pieces in
+//                            place, in one engine rendezvous, instead of one
+//                            mailbox message each (docs/DESIGN.md §14).
 
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <span>
@@ -749,16 +753,25 @@ struct SparseIn {
 /// payload is handed to `sink(src_rank, std::span<const T>)` in the
 /// deterministic receive order — ascending source rank, send order within a
 /// source — instead of being appended to one in-memory result buffer. The
-/// payload span is only valid during the sink call; afterwards the buffer
-/// returns to the engine's pool. The out-of-core delivery path
-/// (delivery::deliver_into + em::run_sink) uses this to land incoming
-/// pieces directly into run blocks on disk.
+/// payload span is only valid during the sink call. The out-of-core
+/// delivery path (delivery::deliver_into + em::run_sink) uses this to land
+/// incoming pieces directly into run blocks on disk.
 ///
-/// The outgoing messages arrive as a SendPlan (send_plan.hpp): pieces are
-/// sent in plan order straight out of the plan's flat buffer, and the
-/// Θ(p) count vectors live in the PE's CollScratch — a warm exchange with
-/// a reused plan and a non-allocating sink performs zero heap allocations
-/// (docs/DESIGN.md §9, asserted by tests/test_alloc.cpp).
+/// The outgoing pieces arrive as a SendPlan (send_plan.hpp) and leave in
+/// plan order, straight out of the plan's flat buffer. Two paths,
+/// bit-identical in virtual time, statistics and received bytes:
+///   - bulk (the default on a clean network, docs/DESIGN.md §14): no
+///     messages at all. Each PE charges its sends, the engine hands every
+///     receiver the list of its pieces in one rendezvous, and the sink
+///     reads each piece in place from the sender's plan. The closing
+///     barrier keeps every plan alive until all receivers are done, even
+///     when the run is aborted meanwhile.
+///   - messages (a NetworkModel installed, or PMPS_COLL_FF=0): a free-mode
+///     Bruck exchange of the Θ(p) counts, then one mailbox message per
+///     piece.
+/// Both keep their scratch in the PE's CollScratch, so a warm exchange
+/// with a reused plan and a non-allocating sink performs zero heap
+/// allocations (docs/DESIGN.md §9, asserted by tests/test_alloc.cpp).
 template <Sortable T, typename Sink>
 void sparse_exchange_into(Comm& comm, const SendPlan<T>& outgoing,
                           Sink&& sink) {
@@ -767,61 +780,35 @@ void sparse_exchange_into(Comm& comm, const SendPlan<T>& outgoing,
   net::CollScratch& scratch = comm.ctx().coll_scratch;
 
   if (comm.engine().coll_ff_enabled()) {
-    // --- out-of-band counts via the engine's tally rendezvous --------------
-    // The dense Bruck exchange below runs entirely in free mode — zero
-    // clock/stats/RNG effects — so replacing it by a direct tally is
-    // bit-identical while touching O(distinct dests) memory per PE instead
-    // of three Θ(p) vectors (≈ 25 GB of host RAM at p = 2^15).
-    std::vector<std::int32_t>& dests = scratch.sx_dests;
-    dests.clear();
+    scratch.bulk_out.clear();
     for (int i = 0; i < outgoing.pieces(); ++i)
-      dests.push_back(static_cast<std::int32_t>(outgoing.dest(i)));
-    std::sort(dests.begin(), dests.end());
-    std::vector<net::CountPair>& out_pairs = scratch.sx_out;
-    out_pairs.clear();
-    for (std::size_t i = 0; i < dests.size();) {
-      std::size_t j = i;
-      while (j < dests.size() && dests[j] == dests[i]) ++j;
-      out_pairs.push_back({dests[i], static_cast<std::int64_t>(j - i)});
-      i = j;
-    }
-    comm.tally_counts(
-        std::span<const net::CountPair>(out_pairs.data(), out_pairs.size()),
-        scratch.sx_in);
-
-    // --- charged: the real messages ----------------------------------------
-    std::vector<std::int64_t>& seq = scratch.sx_seq;
-    seq.assign(out_pairs.size(), 0);
-    for (int i = 0; i < outgoing.pieces(); ++i) {
-      const int dest = outgoing.dest(i);
-      const auto it = std::lower_bound(
-          out_pairs.begin(), out_pairs.end(), dest,
-          [](const net::CountPair& a, int d) { return a.rank < d; });
-      const auto k = static_cast<std::uint64_t>(
-          seq[static_cast<std::size_t>(it - out_pairs.begin())]++);
-      comm.send<T>(dest, tag + k, outgoing.piece(i));
-    }
-
-    // Receive order identical to the dense path: ascending source rank,
-    // send order within a source (sx_in is sorted by src).
-    for (const net::CountPair& cp : scratch.sx_in) {
-      for (std::int64_t k = 0; k < cp.count; ++k) {
-        net::Message m =
-            comm.recv_bytes(cp.rank, tag + static_cast<std::uint64_t>(k));
-        PMPS_CHECK(m.payload.size() % sizeof(T) == 0);
-        sink(cp.rank,
-             std::span<const T>(reinterpret_cast<const T*>(m.payload.data()),
-                                m.payload.size() / sizeof(T)));
-        comm.release_payload(std::move(m));
+      scratch.bulk_out.push_back(
+          {outgoing.dest(i), 0.0, std::as_bytes(outgoing.piece(i))});
+    comm.bulk_exchange();
+    // From here on other PEs read this PE's plan, and this PE reads
+    // theirs, until bulk_barrier returns. So nothing may unwind before it:
+    // a sink's exception waits for the barrier (caught here, never parked
+    // on), and an abort is only reported by the barrier once every member
+    // has arrived.
+    std::exception_ptr failed;
+    try {
+      for (const net::BulkPiece& piece : scratch.bulk_in) {
+        comm.charge_recv(piece);
+        sink(piece.rank,
+             std::span<const T>(
+                 reinterpret_cast<const T*>(piece.payload.data()),
+                 piece.payload.size() / sizeof(T)));
       }
+    } catch (...) {
+      failed = std::current_exception();
     }
-
-    // Termination detection (NBX ibarrier), charged.
-    barrier(comm);
+    const bool aborted = comm.bulk_barrier();
+    if (failed) std::rethrow_exception(failed);
+    if (aborted) throw net::RunAborted{};
     return;
   }
 
-  // --- PMPS_COLL_FF=0 fallback: free-mode dense Bruck counts exchange ------
+  // --- message path: free-mode dense Bruck counts exchange ------------------
   std::vector<std::int64_t>& in_count = scratch.counts_in;
   {
     net::FreeModeGuard free_guard(comm.ctx());

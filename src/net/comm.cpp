@@ -1,21 +1,13 @@
 #include "net/comm.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 #include "common/math.hpp"
-#include "net/network_model.hpp"
 
 namespace pmps::net {
 
 namespace {
-
-/// Approximately standard-normal deviate from three uniforms (Irwin–Hall);
-/// plenty for modelling network jitter.
-double approx_gauss(Xoshiro256& rng) {
-  return (rng.uniform() + rng.uniform() + rng.uniform() - 1.5) * 2.0;
-}
 
 struct SplitEntry {
   int color;
@@ -52,110 +44,24 @@ void Comm::send_bytes(int dest_rank, std::uint64_t tag,
                       std::span<const std::byte> payload) {
   PMPS_CHECK(dest_rank >= 0 && dest_rank < size());
   const int dest_pe = member(dest_rank);
-  const MachineParams& m = machine();
-  const LinkLevel lvl = m.level_between(ctx_->pe, dest_pe);
-
-  double arrival;
-  if (ctx_->free_mode || lvl == LinkLevel::kSelf) {
-    if (!ctx_->free_mode) {
-      // Local move: charged as a copy, not a network message.
-      ctx_->advance(m.copy_cost(payload.size_bytes()));
-    }
-    arrival = ctx_->clock;
-  } else {
-    double cost = m.message_cost(lvl, payload.size_bytes());
-    if (m.comm_noise_frac > 0) {
-      const double f = 1.0 + m.comm_noise_frac * approx_gauss(ctx_->noise_rng);
-      cost *= std::max(0.05, f);
-    }
-    if (lvl != LinkLevel::kNode) cost *= engine_->run_congestion();
-    if (m.model == nullptr) {
-      // Clean network: arrival is the sender-finish time (single-ported
-      // model). This is the default path, untouched by fault injection.
-      ctx_->advance(cost);
-      arrival = ctx_->clock;
-    } else {
-      arrival =
-          send_with_model(*m.model, lvl, dest_pe, payload.size_bytes(), cost);
-    }
-    ctx_->stats.messages_sent += 1;
-    ctx_->stats.phase_messages_sent[static_cast<int>(ctx_->phase)] += 1;
-    ctx_->stats.bytes_sent += static_cast<std::int64_t>(payload.size_bytes());
-  }
-
   Message msg;
   msg.comm_id = comm_id_;
   msg.tag = tag;
   msg.src_pe = ctx_->pe;
-  msg.arrival = arrival;
+  msg.arrival =
+      engine_->charge_send(*ctx_, machine().level_between(ctx_->pe, dest_pe),
+                           dest_pe, payload.size_bytes());
   msg.payload = engine_->buffer_pool(dest_pe).acquire(payload.size_bytes());
   msg.payload.assign(payload.begin(), payload.end());
   engine_->deposit_message(dest_pe, std::move(msg));
-}
-
-double Comm::send_with_model(const NetworkModel& model, LinkLevel lvl,
-                             int dest_pe, std::size_t bytes, double cost) {
-  MsgAttempt a;
-  a.src_pe = ctx_->pe;
-  a.dst_pe = dest_pe;
-  a.level = lvl;
-  a.bytes = bytes;
-  a.seq = ctx_->send_seq++;
-
-  if (!model.lossy()) {
-    // Jitter-only model: one stretched transmission, no protocol.
-    ctx_->advance(cost * model.latency_factor(a));
-    return ctx_->clock + model.extra_delay(a);
-  }
-
-  const RetransmitParams rp = model.retransmit();
-  const double ack_cost = machine().message_cost(lvl, rp.ack_bytes);
-  const double start = ctx_->clock;
-  const ReliableOutcome out =
-      simulate_reliable_send(model, rp, a, cost, ack_cost);
-
-  if (!out.delivered) {
-    char why[160];
-    std::snprintf(why, sizeof why,
-                  "reliable send PE %d -> PE %d (seq %llu): no ack after %d "
-                  "attempts, retry budget exhausted",
-                  ctx_->pe, dest_pe, static_cast<unsigned long long>(a.seq),
-                  out.attempts);
-    engine_->abort_run(why, start, ctx_->pe);
-    throw NetworkError(why);
-  }
-
-  ctx_->advance(out.finish_dt);
-  ctx_->stats.faults.retransmits += out.retransmits;
-  ctx_->stats.faults.data_drops += out.data_drops;
-  ctx_->stats.faults.ack_drops += out.ack_drops;
-  ctx_->stats.faults.dup_data += out.dup_data;
-  ctx_->stats.faults.dup_acks += out.dup_acks;
-  // First-try success means arrival_dt == finish_dt, and the arrival must
-  // equal the sender's clock *bit for bit* (start + dt would re-round);
-  // only reconstruct an absolute arrival when the protocol decoupled them.
-  return out.arrival_dt == out.finish_dt ? ctx_->clock : start + out.arrival_dt;
 }
 
 Message Comm::recv_bytes(int src_rank, std::uint64_t tag) {
   PMPS_CHECK(src_rank >= 0 && src_rank < size());
   const int src_pe = member(src_rank);
   Message m = engine_->retrieve_message(*ctx_, MsgKey{comm_id_, tag, src_pe});
-
-  const MachineParams& mp = machine();
-  const LinkLevel lvl = mp.level_between(ctx_->pe, src_pe);
-  if (lvl != LinkLevel::kSelf && !ctx_->free_mode) {
-    if (ctx_->clock < m.arrival) {
-      // We were waiting: payload is available the moment the sender finished.
-      ctx_->advance_to(m.arrival);
-    } else {
-      // We were busy past the arrival: charge the drain (receive occupancy).
-      ctx_->advance(mp.beta[static_cast<int>(lvl)] *
-                    static_cast<double>(m.payload.size()));
-    }
-    ctx_->stats.messages_received += 1;
-    ctx_->stats.bytes_received += static_cast<std::int64_t>(m.payload.size());
-  }
+  engine_->charge_recv(*ctx_, machine().level_between(ctx_->pe, src_pe),
+                       m.payload.size(), m.arrival);
   return m;
 }
 
@@ -166,12 +72,30 @@ void Comm::release_payload(Message&& m) {
 }
 
 bool Comm::barrier_fast_forward() {
-  return engine_->barrier_fast_forward(*ctx_, comm_id_, *members_, rank_);
+  return engine_->barrier_fast_forward(*ctx_, comm_id_, *members_);
 }
 
-void Comm::tally_counts(std::span<const CountPair> out,
-                        std::vector<CountPair>& in) {
-  engine_->tally_counts(*ctx_, comm_id_, *members_, rank_, out, in);
+void Comm::bulk_exchange() {
+  for (BulkPiece& piece : ctx_->coll_scratch.bulk_out) {
+    PMPS_CHECK(piece.rank >= 0 && piece.rank < size());
+    const int dest_pe = member(piece.rank);
+    piece.arrival =
+        engine_->charge_send(*ctx_, machine().level_between(ctx_->pe, dest_pe),
+                             dest_pe, piece.payload.size());
+  }
+  engine_->bulk_exchange(*ctx_, comm_id_, *members_);
+}
+
+void Comm::charge_recv(const BulkPiece& piece) {
+  const int src_pe = member(piece.rank);
+  engine_->charge_recv(*ctx_, machine().level_between(ctx_->pe, src_pe),
+                       piece.payload.size(), piece.arrival);
+}
+
+bool Comm::bulk_barrier() {
+  // A lone member has no reader to wait for, and coll::barrier skips it.
+  if (size() == 1) return false;
+  return engine_->bulk_barrier(*ctx_, comm_id_, *members_);
 }
 
 Comm Comm::split(int color, int key) {

@@ -132,12 +132,24 @@ class Comm {
   /// caller must then run the real message-by-message barrier.
   bool barrier_fast_forward();
 
-  /// Engine-level sparse-counts rendezvous replacing the free-mode dense
-  /// Bruck exchange of coll::sparse_exchange_into: submit sorted
-  /// (dest rank, count) pairs, receive (src rank, count) pairs sorted by
-  /// src. See Engine::tally_counts.
-  void tally_counts(std::span<const CountPair> out,
-                    std::vector<CountPair>& in);
+  /// The bulk path of coll::sparse_exchange_into (docs/DESIGN.md §14;
+  /// requires engine().coll_ff_enabled()). The caller has listed its
+  /// outgoing pieces (dest rank, payload), in plan order, in
+  /// ctx().coll_scratch.bulk_out. This charges each of them exactly as
+  /// send_bytes would, stamps its arrival time and joins the engine's
+  /// rendezvous (Engine::bulk_exchange); on return coll_scratch.bulk_in
+  /// lists the pieces addressed to this PE in receive order. Every member
+  /// must then call bulk_barrier before its pieces' storage may change.
+  void bulk_exchange();
+
+  /// Charges receiving `piece` (a bulk_in entry) exactly as recv_bytes
+  /// charges the same message.
+  void charge_recv(const BulkPiece& piece);
+
+  /// The bulk exchange's closing barrier (Engine::bulk_barrier), charged
+  /// like coll::barrier. Returns true if the run was aborted, which the
+  /// caller must answer by unwinding.
+  bool bulk_barrier();
 
   /// Returns a consumed message's payload buffer to the engine's pool.
   /// Callers of recv_bytes should release once done with the payload; the
@@ -159,13 +171,6 @@ class Comm {
   Comm(Engine* engine, PeContext* ctx,
        std::shared_ptr<const std::vector<int>> members, int rank,
        std::uint64_t comm_id);
-
-  /// Network send under an installed NetworkModel (jitter-only, or the full
-  /// ack/retransmit protocol when the model is lossy): advances the sender's
-  /// clock and returns the message's virtual arrival time at the receiver.
-  /// Throws NetworkError (after Engine::abort_run) on retry exhaustion.
-  double send_with_model(const NetworkModel& model, LinkLevel lvl, int dest_pe,
-                         std::size_t bytes, double cost);
 
   Engine* engine_;
   PeContext* ctx_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -67,9 +68,8 @@ bool coll_ff_from_env() {
   return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
-/// Approximately standard-normal deviate from three uniforms (Irwin–Hall).
-/// Must match comm.cpp's copy bit for bit: the barrier replay draws from
-/// the same noise streams the real sends would have drawn from.
+/// Approximately standard-normal deviate from three uniforms (Irwin–Hall);
+/// plenty for modelling network jitter and the run's congestion.
 double approx_gauss(Xoshiro256& rng) {
   return (rng.uniform() + rng.uniform() + rng.uniform() - 1.5) * 2.0;
 }
@@ -157,15 +157,14 @@ void Engine::prepare_run() {
   run_congestion_ = 1.0;
   if (machine_.congestion_noise_frac > 0) {
     Xoshiro256 rng(seed_ ^ 0xc049e57104ULL, run_counter_);
-    const double g =
-        (rng.uniform() + rng.uniform() + rng.uniform() - 1.5) * 2.0;
-    run_congestion_ = 1.0 + machine_.congestion_noise_frac * std::abs(g);
+    run_congestion_ =
+        1.0 + machine_.congestion_noise_frac * std::abs(approx_gauss(rng));
   }
   ++run_counter_;
 
   failed_.store(false, std::memory_order_relaxed);
   ff_barriers_.store(0, std::memory_order_relaxed);
-  ff_tallies_.store(0, std::memory_order_relaxed);
+  bulk_exchanges_.store(0, std::memory_order_relaxed);
   if (drain_needed_) {
     // The aborted run may have left rendezvous cells mid-generation
     // (members that threw never arrived); reset them alongside the
@@ -175,7 +174,6 @@ void Engine::prepare_run() {
       cell->arrived = 0;
       cell->aborted = false;
       cell->parked_pes.clear();
-      for (auto& s : cell->slots) s = nullptr;
     }
   }
   for (auto& ctx : pes_) {
@@ -311,7 +309,7 @@ void Engine::abort_run(const std::string& why, double at_time, int pe) {
     }
   }
   // Poison the rendezvous board first: members parked in a barrier
-  // fast-forward or count tally have no mailbox registration, so the
+  // fast-forward or bulk exchange have no mailbox registration, so the
   // mailbox poison below would never reach them. Wakes target this
   // engine's in-flight batch only, so a service-side abort never touches
   // sibling jobs' fibers.
@@ -367,7 +365,6 @@ Engine::RendezvousCell& Engine::rv_cell_locked(std::uint64_t comm_id,
   if (it == rv_cells_.end()) {
     auto cell = std::make_unique<RendezvousCell>();
     cell->size = size;
-    cell->slots.assign(static_cast<std::size_t>(size), nullptr);
     cell->arrivals.assign(static_cast<std::size_t>(size), 0.0);
     cell->parked_pes.reserve(static_cast<std::size_t>(size));
     it = rv_cells_.emplace(comm_id, std::move(cell)).first;
@@ -377,26 +374,33 @@ Engine::RendezvousCell& Engine::rv_cell_locked(std::uint64_t comm_id,
 }
 
 void Engine::rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
-                     int pe) {
+                     int pe, bool defer_abort) {
   const std::uint64_t gen0 = cell.gen;
+  // Released is checked before aborted: a member released just before an
+  // abort must still return, because the bulk exchange's readers rely on
+  // every released member reaching its closing barrier.
+  const auto done = [&] {
+    return cell.gen != gen0 || (cell.aborted && !defer_abort);
+  };
   if (backend_ == EngineBackend::kFibers && FiberPool::in_fiber()) {
     // A rendezvous park is the long-lived collective wait: the whole phase
     // blocks here, so the worker reclaims this fiber's cold stack span
     // (prepare_block(true)). The registration (parked_pes) happens under
     // rv_mu_, exactly like a mailbox wait registration under the mailbox
-    // lock, so a releasing/aborting peer can never miss us.
-    for (;;) {
+    // lock, so a releasing/aborting peer can never miss us. Each wake
+    // consumes the registration, so a member woken by an abort it defers
+    // registers again before parking again.
+    do {
       cell.parked_pes.push_back(pe);
       FiberPool::prepare_block(/*long_wait=*/true);
       lock.unlock();
       FiberPool::block_current();
       lock.lock();
-      if (cell.aborted) throw RunAborted{};
-      if (cell.gen != gen0) return;
-    }
+    } while (!done());
+  } else {
+    cell.cv.wait(lock, done);
   }
-  cell.cv.wait(lock, [&] { return cell.gen != gen0 || cell.aborted; });
-  if (cell.aborted) throw RunAborted{};
+  if (cell.gen == gen0) throw RunAborted{};
 }
 
 void Engine::rv_release_locked(RendezvousCell& cell) {
@@ -422,61 +426,34 @@ void Engine::replay_barrier(const std::vector<int>& members,
   // round in round order — so every clock, counter and RNG state ends bit
   // for bit where the real message exchange would have left it.
   const int p = static_cast<int>(members.size());
-  const MachineParams& m = machine_;
+  const auto pe_of = [&](int rank) {
+    return members[static_cast<std::size_t>(rank)];
+  };
   for (int round = 0, step = 1; step < p; ++round, step <<= 1) {
     for (int i = 0; i < p; ++i) {
-      PeContext& s = *pes_[static_cast<std::size_t>(
-          members[static_cast<std::size_t>(i)])];
+      PeContext& s = *pes_[static_cast<std::size_t>(pe_of(i))];
       const int dest = (i + step) % p;
-      const LinkLevel lvl = m.level_between(
-          s.pe, members[static_cast<std::size_t>(dest)]);
-      if (s.free_mode || lvl == LinkLevel::kSelf) {
-        if (!s.free_mode) s.advance(m.copy_cost(1));
-        arrivals[static_cast<std::size_t>(dest)] = s.clock;
-        continue;
-      }
-      double cost = m.message_cost(lvl, 1);
-      if (m.comm_noise_frac > 0) {
-        const double f = 1.0 + m.comm_noise_frac * approx_gauss(s.noise_rng);
-        cost *= std::max(0.05, f);
-      }
-      if (lvl != LinkLevel::kNode) cost *= run_congestion_;
-      s.advance(cost);
-      arrivals[static_cast<std::size_t>(dest)] = s.clock;
-      s.stats.messages_sent += 1;
-      s.stats.phase_messages_sent[static_cast<int>(s.phase)] += 1;
-      s.stats.bytes_sent += 1;
+      arrivals[static_cast<std::size_t>(dest)] = charge_send(
+          s, machine_.level_between(s.pe, pe_of(dest)), pe_of(dest), 1);
     }
     for (int i = 0; i < p; ++i) {
-      PeContext& r = *pes_[static_cast<std::size_t>(
-          members[static_cast<std::size_t>(i)])];
+      PeContext& r = *pes_[static_cast<std::size_t>(pe_of(i))];
       const int src = (i - step % p + p) % p;
-      const LinkLevel lvl = m.level_between(
-          r.pe, members[static_cast<std::size_t>(src)]);
-      if (lvl == LinkLevel::kSelf || r.free_mode) continue;
-      const double arrival = arrivals[static_cast<std::size_t>(i)];
-      if (r.clock < arrival) {
-        r.advance_to(arrival);
-      } else {
-        r.advance(m.beta[static_cast<int>(lvl)] * 1.0);
-      }
-      r.stats.messages_received += 1;
-      r.stats.bytes_received += 1;
+      charge_recv(r, machine_.level_between(r.pe, pe_of(src)), 1,
+                  arrivals[static_cast<std::size_t>(i)]);
     }
   }
 }
 
-bool Engine::barrier_fast_forward(PeContext& ctx, std::uint64_t comm_id,
-                                  const std::vector<int>& members, int rank) {
-  if (!coll_ff_ || machine_.model != nullptr) return false;
-  (void)rank;
+bool Engine::ff_barrier(PeContext& ctx, std::uint64_t comm_id,
+                        const std::vector<int>& members, bool defer_abort) {
   const int p = static_cast<int>(members.size());
   std::unique_lock lock(rv_mu_);
   RendezvousCell& cell = rv_cell_locked(comm_id, p);
-  if (cell.aborted) throw RunAborted{};
+  if (cell.aborted && !defer_abort) throw RunAborted{};
   if (++cell.arrived < p) {
-    rv_park(lock, cell, ctx.pe);
-    return true;
+    rv_park(lock, cell, ctx.pe, defer_abort);
+    return cell.aborted;
   }
   // Last arriver: every other member is parked (or about to park — each
   // registered under rv_mu_ before arriving counted), so their contexts
@@ -484,48 +461,137 @@ bool Engine::barrier_fast_forward(PeContext& ctx, std::uint64_t comm_id,
   replay_barrier(members, cell.arrivals);
   ff_barriers_.fetch_add(1, std::memory_order_relaxed);
   rv_release_locked(cell);
+  return cell.aborted;
+}
+
+bool Engine::barrier_fast_forward(PeContext& ctx, std::uint64_t comm_id,
+                                  const std::vector<int>& members) {
+  if (!coll_ff_enabled()) return false;
+  ff_barrier(ctx, comm_id, members, /*defer_abort=*/false);
   return true;
 }
 
-void Engine::tally_counts(PeContext& ctx, std::uint64_t comm_id,
-                          const std::vector<int>& members, int rank,
-                          std::span<const CountPair> out,
-                          std::vector<CountPair>& in) {
+void Engine::bulk_exchange(PeContext& ctx, std::uint64_t comm_id,
+                           const std::vector<int>& members) {
+  PMPS_ASSERT(coll_ff_enabled());
   const int p = static_cast<int>(members.size());
-  if (p == 1) {
-    // Only destination rank 0 exists; incoming pairs are our own with
-    // src rank 0 — the identical struct layout.
-    in.assign(out.begin(), out.end());
-    return;
-  }
   std::unique_lock lock(rv_mu_);
   RendezvousCell& cell = rv_cell_locked(comm_id, p);
   if (cell.aborted) throw RunAborted{};
-  TallySlot slot{out.data(), out.size(), &in};
-  cell.slots[static_cast<std::size_t>(rank)] = &slot;
   if (++cell.arrived < p) {
     rv_park(lock, cell, ctx.pe);
     return;
   }
-  // Last arriver: scatter. Iterating source ranks ascending appends to
-  // every destination's `in` in ascending-src order — the order the dense
-  // Bruck result is consumed in (src 0…p−1).
-  for (int s = 0; s < p; ++s)
-    static_cast<TallySlot*>(cell.slots[static_cast<std::size_t>(s)])
-        ->in->clear();
-  for (int s = 0; s < p; ++s) {
-    const TallySlot* src =
-        static_cast<TallySlot*>(cell.slots[static_cast<std::size_t>(s)]);
-    for (std::size_t k = 0; k < src->n_out; ++k) {
-      const CountPair& cp = src->out[k];
-      static_cast<TallySlot*>(
-          cell.slots[static_cast<std::size_t>(cp.rank)])
-          ->in->push_back({static_cast<std::int32_t>(s), cp.count});
-    }
-  }
-  for (int s = 0; s < p; ++s) cell.slots[static_cast<std::size_t>(s)] = nullptr;
-  ff_tallies_.fetch_add(1, std::memory_order_relaxed);
+  // Last arriver: every other member is parked, so its scratch is ours to
+  // write. Walking the sources in rank order, each in plan order, appends
+  // to every receiver's list in the message path's receive order.
+  const auto scratch = [&](int rank) -> CollScratch& {
+    return pes_[static_cast<std::size_t>(
+                    members[static_cast<std::size_t>(rank)])]
+        ->coll_scratch;
+  };
+  for (int r = 0; r < p; ++r) scratch(r).bulk_in.clear();
+  for (int src = 0; src < p; ++src)
+    for (const BulkPiece& piece : scratch(src).bulk_out)
+      scratch(piece.rank).bulk_in.push_back(
+          {src, piece.arrival, piece.payload});
+  bulk_exchanges_.fetch_add(1, std::memory_order_relaxed);
   rv_release_locked(cell);
+}
+
+bool Engine::bulk_barrier(PeContext& ctx, std::uint64_t comm_id,
+                          const std::vector<int>& members) {
+  PMPS_ASSERT(coll_ff_enabled());
+  return ff_barrier(ctx, comm_id, members, /*defer_abort=*/true);
+}
+
+double Engine::charge_send(PeContext& ctx, LinkLevel lvl, int dest_pe,
+                           std::size_t bytes) {
+  const MachineParams& m = machine_;
+  if (ctx.free_mode || lvl == LinkLevel::kSelf) {
+    // Local move: charged as a copy, not a network message.
+    if (!ctx.free_mode) ctx.advance(m.copy_cost(bytes));
+    return ctx.clock;
+  }
+  double cost = m.message_cost(lvl, bytes);
+  if (m.comm_noise_frac > 0) {
+    const double f = 1.0 + m.comm_noise_frac * approx_gauss(ctx.noise_rng);
+    cost *= std::max(0.05, f);
+  }
+  if (lvl != LinkLevel::kNode) cost *= run_congestion_;
+  double arrival;
+  if (m.model == nullptr) {
+    // Clean network: arrival is the sender-finish time (single-ported
+    // model). This is the default path, untouched by fault injection.
+    ctx.advance(cost);
+    arrival = ctx.clock;
+  } else {
+    arrival = send_with_model(ctx, *m.model, lvl, dest_pe, bytes, cost);
+  }
+  ctx.stats.messages_sent += 1;
+  ctx.stats.phase_messages_sent[static_cast<int>(ctx.phase)] += 1;
+  ctx.stats.bytes_sent += static_cast<std::int64_t>(bytes);
+  return arrival;
+}
+
+double Engine::send_with_model(PeContext& ctx, const NetworkModel& model,
+                               LinkLevel lvl, int dest_pe, std::size_t bytes,
+                               double cost) {
+  MsgAttempt a;
+  a.src_pe = ctx.pe;
+  a.dst_pe = dest_pe;
+  a.level = lvl;
+  a.bytes = bytes;
+  a.seq = ctx.send_seq++;
+
+  if (!model.lossy()) {
+    // Jitter-only model: one stretched transmission, no protocol.
+    ctx.advance(cost * model.latency_factor(a));
+    return ctx.clock + model.extra_delay(a);
+  }
+
+  const RetransmitParams rp = model.retransmit();
+  const double ack_cost = machine_.message_cost(lvl, rp.ack_bytes);
+  const double start = ctx.clock;
+  const ReliableOutcome out =
+      simulate_reliable_send(model, rp, a, cost, ack_cost);
+
+  if (!out.delivered) {
+    char why[160];
+    std::snprintf(why, sizeof why,
+                  "reliable send PE %d -> PE %d (seq %llu): no ack after %d "
+                  "attempts, retry budget exhausted",
+                  ctx.pe, dest_pe, static_cast<unsigned long long>(a.seq),
+                  out.attempts);
+    abort_run(why, start, ctx.pe);
+    throw NetworkError(why);
+  }
+
+  ctx.advance(out.finish_dt);
+  ctx.stats.faults.retransmits += out.retransmits;
+  ctx.stats.faults.data_drops += out.data_drops;
+  ctx.stats.faults.ack_drops += out.ack_drops;
+  ctx.stats.faults.dup_data += out.dup_data;
+  ctx.stats.faults.dup_acks += out.dup_acks;
+  // First-try success means arrival_dt == finish_dt, and the arrival must
+  // equal the sender's clock *bit for bit* (start + dt would re-round);
+  // only reconstruct an absolute arrival when the protocol decoupled them.
+  return out.arrival_dt == out.finish_dt ? ctx.clock : start + out.arrival_dt;
+}
+
+void Engine::charge_recv(PeContext& ctx, LinkLevel lvl, std::size_t bytes,
+                         double arrival) const {
+  if (lvl == LinkLevel::kSelf || ctx.free_mode) return;
+  if (ctx.clock < arrival) {
+    // We were waiting: payload is available the moment the sender finished.
+    ctx.advance_to(arrival);
+  } else {
+    // We were busy past the arrival: charge the drain (receive occupancy).
+    ctx.advance(machine_.beta[static_cast<int>(lvl)] *
+                static_cast<double>(bytes));
+  }
+  ctx.stats.messages_received += 1;
+  ctx.stats.bytes_received += static_cast<std::int64_t>(bytes);
 }
 
 RunReport Engine::report() const {
@@ -569,7 +635,7 @@ RunReport Engine::report() const {
   }
   r.engine.collective_fast_forwards =
       ff_barriers_.load(std::memory_order_relaxed);
-  r.engine.count_tallies = ff_tallies_.load(std::memory_order_relaxed);
+  r.engine.bulk_exchanges = bulk_exchanges_.load(std::memory_order_relaxed);
   return r;
 }
 

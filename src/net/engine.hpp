@@ -53,40 +53,29 @@ enum class EngineBackend : int {
   kFibers = 2,   ///< cooperative fibers on a fixed worker pool
 };
 
-/// One (rank, message count) pair of a sparse exchange: the sparse
-/// replacement for a dense Θ(p) per-PE count vector. On the send side
-/// `rank` is a destination rank; on the receive side a source rank. Count
-/// lists are sorted by rank.
-struct CountPair {
-  std::int32_t rank = 0;
-  std::int64_t count = 0;
-};
-
-/// One member's contribution to an engine-level count tally (see
-/// Engine::tally_counts): its outgoing (dest rank, count) pairs and the
-/// scratch vector its incoming (src rank, count) pairs land in. Lives on
-/// the member's stack only while it is parked in the tally rendezvous.
-struct TallySlot {
-  const CountPair* out = nullptr;
-  std::size_t n_out = 0;
-  std::vector<CountPair>* in = nullptr;
+/// One piece of a bulk sparse exchange (Engine::bulk_exchange): a view of
+/// the payload in the sender's send plan plus its virtual arrival time. In
+/// a member's outgoing list `rank` is the destination rank; in its incoming
+/// list, the source rank.
+struct BulkPiece {
+  int rank = 0;
+  double arrival = 0;
+  std::span<const std::byte> payload;
 };
 
 /// Reusable scratch for the hot collectives, per-PE and shared by every
 /// Comm of that PE, so a delivery's repeated sparse exchanges reuse warm
 /// capacity instead of allocating fresh vectors per call. The dense
 /// counts_* / seq_per_dest vectors (Θ(p) each) and Bruck working arrays
-/// back the PMPS_COLL_FF=0 fallback path; the sx_* vectors (sized by the
-/// number of *distinct* destinations, not p) back the default tally path —
-/// at p = 2^15 three Θ(p) vectors per PE alone would cost ~25 GB host RAM.
-/// The collectives never nest within one PE, so distinct fields are never
-/// aliased by a live use.
+/// back the message path of sparse_exchange_into; the bulk_* lists (sized
+/// by pieces, not p) back its bulk path — at p = 2^15 three Θ(p) vectors
+/// per PE alone would cost ~25 GB host RAM. The collectives never nest
+/// within one PE, so distinct fields are never aliased by a live use.
 struct CollScratch {
   std::vector<std::int64_t> counts_out, counts_in, seq_per_dest;
   std::vector<std::int32_t> bruck_tmp, bruck_block, bruck_in;
-  std::vector<std::int32_t> sx_dests;      ///< piece dests, sorted for RLE
-  std::vector<CountPair> sx_out, sx_in;    ///< sparse out/in count pairs
-  std::vector<std::int64_t> sx_seq;        ///< per-distinct-dest send seq
+  std::vector<BulkPiece> bulk_out;  ///< own pieces, plan order
+  std::vector<BulkPiece> bulk_in;   ///< pieces to this PE, receive order
 };
 
 /// All mutable per-PE state. Owned by the engine, accessed only by the
@@ -279,30 +268,61 @@ class Engine {
     return world_members_;
   }
 
-  /// True when the idle-phase fast-forward paths (barrier replay, count
-  /// tally) are enabled — the default; PMPS_COLL_FF=0 restores the real
-  /// message-by-message execution for differential testing.
-  bool coll_ff_enabled() const { return coll_ff_; }
+  /// True when the collectives may fast-forward (barrier replay, bulk
+  /// sparse exchange): the default on a clean network. A NetworkModel
+  /// (fault injection must see real messages) or PMPS_COLL_FF=0 (for
+  /// differential testing) restores the message-by-message execution.
+  bool coll_ff_enabled() const {
+    return coll_ff_ && machine_.model == nullptr;
+  }
+
+  /// The send rule: charges `ctx` for sending `bytes` over `lvl` to global
+  /// PE `dest_pe` and returns the message's virtual arrival time there. A
+  /// free-mode PE pays nothing and a send to itself pays a copy. Any other
+  /// send pays α + βb, stretched by the sender's noise draw and, off-node,
+  /// by the run's congestion factor, and is counted; on a clean network
+  /// it arrives when the sender finishes, and under a NetworkModel it goes
+  /// through the model's protocol (which may abort the run and throw
+  /// NetworkError). Comm::send_bytes, the barrier replay and the bulk
+  /// sparse exchange all charge through here.
+  double charge_send(PeContext& ctx, LinkLevel lvl, int dest_pe,
+                     std::size_t bytes);
+
+  /// The receive rule: charges `ctx` for receiving `bytes` over `lvl` that
+  /// arrived at virtual time `arrival`. Self links and free mode cost
+  /// nothing. A receiver that is early waits for the arrival; one whose
+  /// clock has passed it pays the βb drain. Counted either way.
+  void charge_recv(PeContext& ctx, LinkLevel lvl, std::size_t bytes,
+                   double arrival) const;
 
   /// Idle-phase fast-forward of a dissemination barrier: when eligible
-  /// (fast-forward on, clean network), members rendezvous on the cell keyed
-  /// by `comm_id`; the last arriver replays the whole barrier's clock /
+  /// (coll_ff_enabled()), members rendezvous on the cell keyed by
+  /// `comm_id`; the last arriver replays the whole barrier's clock /
   /// stats / noise-RNG effects round-major — bit-identically to the real
   /// message exchange — and releases everyone in one step. Returns false
   /// (caller must run the real barrier) when ineligible.
   bool barrier_fast_forward(PeContext& ctx, std::uint64_t comm_id,
-                            const std::vector<int>& members, int rank);
+                            const std::vector<int>& members);
 
-  /// Engine-level replacement for the sparse exchange's *free-mode* dense
-  /// counts exchange: members rendezvous with their (dest, count) pairs and
-  /// the last arriver scatters (src, count) pairs into every member's `in`
-  /// vector, sorted by src. Free-mode sends charge nothing, draw nothing
-  /// and count nothing, so this is bit-identical to the Bruck exchange it
-  /// replaces while touching O(messages) memory instead of Θ(p) per PE.
-  void tally_counts(PeContext& ctx, std::uint64_t comm_id,
-                    const std::vector<int>& members, int rank,
-                    std::span<const CountPair> out,
-                    std::vector<CountPair>& in);
+  /// The rendezvous of coll::sparse_exchange_into's bulk path (requires
+  /// coll_ff_enabled(); docs/DESIGN.md §14). Every member has put its
+  /// outgoing pieces, charged with charge_send, in its CollScratch::
+  /// bulk_out; the last to arrive scatters them into every member's
+  /// bulk_in, ordered by source rank and then send order, and releases
+  /// all members at once. Throws RunAborted if the run was aborted before
+  /// the scatter. After it, a member's bulk_in views the other members'
+  /// send plans, which must stay alive until every member has returned
+  /// from bulk_barrier.
+  void bulk_exchange(PeContext& ctx, std::uint64_t comm_id,
+                     const std::vector<int>& members);
+
+  /// The bulk exchange's closing (NBX termination) barrier: the
+  /// fast-forwarded barrier, except that an abort releases no member
+  /// before every member has arrived, so no member can free a send plan
+  /// that another still reads. Returns true if the run was aborted; the
+  /// caller must then unwind.
+  bool bulk_barrier(PeContext& ctx, std::uint64_t comm_id,
+                    const std::vector<int>& members);
 
   /// Aborts the current run with a per-run error: records `why`, poisons
   /// every mailbox so blocked PEs unwind (RunAborted) instead of waiting
@@ -312,12 +332,13 @@ class Engine {
   /// reason wins over any simulated failure.
   void abort_run(const std::string& why);
 
-  /// Simulated-failure abort, called by Comm when a lossy NetworkModel
-  /// exhausts its retry budget; safe from any PE. Concurrent failing PEs
-  /// race only in host time, so the latch keeps the reason with the
-  /// smallest (virtual failure time, pe) — the reported error does not
-  /// depend on worker count or backend when the racing failures are all
-  /// observed before the abort propagates (e.g. first-send exhaustion).
+  /// Simulated-failure abort, called by charge_send when a lossy
+  /// NetworkModel exhausts its retry budget; safe from any PE. Concurrent
+  /// failing PEs race only in host time, so the latch keeps the reason
+  /// with the smallest (virtual failure time, pe) — the reported error
+  /// does not depend on worker count or backend when the racing failures
+  /// are all observed before the abort propagates (e.g. first-send
+  /// exhaustion).
   void abort_run(const std::string& why, double at_time, int pe);
 
   /// Aggregated results of the last run().
@@ -326,14 +347,13 @@ class Engine {
  private:
   /// One rendezvous cell of the fast-forward board, keyed by communicator
   /// id (comm ids are deterministic, so cells persist across runs). Serves
-  /// both barrier replay and count tallies — SPMD lockstep guarantees the
+  /// both barrier replays and bulk exchanges — SPMD lockstep guarantees the
   /// members never mix the two within one generation. Guarded by rv_mu_.
   struct RendezvousCell {
     int size = 0;              ///< communicator size (fixed at creation)
     int arrived = 0;           ///< members arrived this generation
     std::uint64_t gen = 0;     ///< bumped on release; parked members wait on it
-    bool aborted = false;      ///< run aborted: parked members throw RunAborted
-    std::vector<void*> slots;  ///< per member rank: its TallySlot (tally only)
+    bool aborted = false;      ///< run aborted: see rv_park
     std::vector<double> arrivals;    ///< barrier replay: per-dest arrival time
     std::vector<int> parked_pes;     ///< global PE ids parked (fiber backend)
     std::condition_variable cv;      ///< thread backend park (waits on rv_mu_)
@@ -344,9 +364,26 @@ class Engine {
   RendezvousCell& rv_cell_locked(std::uint64_t comm_id, int size);
 
   /// Parks the calling member until the cell's generation advances
-  /// (rv_mu_ held via `lock`); throws RunAborted if the run was aborted.
+  /// (rv_mu_ held via `lock`). Returns once released, even if the run was
+  /// aborted meanwhile. An abort before the release throws RunAborted at
+  /// once, or, with `defer_abort`, keeps the member parked until the
+  /// release.
   void rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
-               int pe);
+               int pe, bool defer_abort = false);
+
+  /// The fast-forwarded barrier behind barrier_fast_forward and
+  /// bulk_barrier (rv_park's `defer_abort`). Returns whether the run was
+  /// aborted when this member left.
+  bool ff_barrier(PeContext& ctx, std::uint64_t comm_id,
+                  const std::vector<int>& members, bool defer_abort);
+
+  /// charge_send under an installed NetworkModel (jitter-only, or the full
+  /// ack/retransmit protocol when the model is lossy): advances the
+  /// sender's clock by the stretched `cost` and returns the arrival time.
+  /// Throws NetworkError (after abort_run) on retry exhaustion.
+  double send_with_model(PeContext& ctx, const NetworkModel& model,
+                         LinkLevel lvl, int dest_pe, std::size_t bytes,
+                         double cost);
 
   /// Releases a completed generation: bumps gen, wakes every parked member
   /// (rv_mu_ held).
@@ -397,7 +434,7 @@ class Engine {
   std::mutex rv_mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<RendezvousCell>> rv_cells_;
   std::atomic<std::int64_t> ff_barriers_{0};
-  std::atomic<std::int64_t> ff_tallies_{0};
+  std::atomic<std::int64_t> bulk_exchanges_{0};
   // --- abort state (lossy NetworkModel runs only) --------------------------
   std::atomic<bool> failed_{false};
   std::mutex fail_mu_;

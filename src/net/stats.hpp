@@ -67,8 +67,8 @@ struct CommStats {
 /// Host-side resource accounting of the engine itself — memory the
 /// *simulator* (not the simulated machine) used. Stack fields are zero on
 /// the thread backend and on single-PE inline runs (no fiber pool); the
-/// fast-forward counters are zero when PMPS_COLL_FF=0. None of these affect
-/// virtual time.
+/// fast-forward counters are zero when PMPS_COLL_FF=0 or a NetworkModel is
+/// installed. None of these affect virtual time.
 struct EngineStats {
   std::int64_t peak_stack_bytes = 0;      ///< peak resident fiber stack bytes
   std::int64_t current_stack_bytes = 0;   ///< resident fiber stack bytes now
@@ -81,7 +81,7 @@ struct EngineStats {
   std::int64_t mailbox_node_high_water = 0;  ///< max per-shard node peak
   std::int64_t mailbox_nodes_total_high_water = 0;  ///< summed shard peaks
   std::int64_t collective_fast_forwards = 0;  ///< barrier replays (last run)
-  std::int64_t count_tallies = 0;  ///< sparse-exchange count tallies (last run)
+  std::int64_t bulk_exchanges = 0;  ///< bulk-path sparse exchanges (last run)
 };
 
 /// Aggregate over all PEs after a run: max virtual finish time, per-phase

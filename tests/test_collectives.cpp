@@ -8,8 +8,15 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <bit>
+#include <chrono>
+#include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -17,6 +24,7 @@
 #include "common/math.hpp"
 #include "common/random.hpp"
 #include "net/engine.hpp"
+#include "net/network_model.hpp"
 
 namespace pmps::coll {
 namespace {
@@ -643,6 +651,243 @@ TEST_P(FlatVsP2P, Alltoallv) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FlatVsP2P,
                          ::testing::Values(1, 2, 3, 5, 8, 12, 16, 31));
+
+// ---------------------------------------------------------------------------
+// bulk sparse exchange: bit-identical to the message path, safe on abort
+// ---------------------------------------------------------------------------
+
+/// Sets an environment variable for one scope, restoring the old value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      setenv(name_, old_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// One engine backend to run a test on; `workers` applies to fibers.
+struct Backend {
+  net::EngineBackend kind;
+  int workers;
+};
+
+/// Fibers with each of `fiber_workers`, then threads. Only threads when
+/// PMPS_ENGINE=threads selects them (ThreadSanitizer cannot follow the
+/// fiber switch) or fibers are unsupported.
+std::vector<Backend> backends(std::initializer_list<int> fiber_workers) {
+  std::vector<Backend> out;
+  if (net::resolve_engine_backend() == net::EngineBackend::kFibers)
+    for (const int w : fiber_workers)
+      out.push_back({net::EngineBackend::kFibers, w});
+  out.push_back({net::EngineBackend::kThreads, 1});
+  return out;
+}
+
+std::string describe(const Backend& b, int p) {
+  return (b.kind == net::EngineBackend::kThreads
+              ? std::string("threads")
+              : "fibers x" + std::to_string(b.workers)) +
+         " p=" + std::to_string(p);
+}
+
+/// Everything a sparse exchange leaves behind on one PE.
+struct PeOutcome {
+  std::uint64_t clock_bits = 0;
+  std::array<std::uint64_t, net::kNumPhases> phase_bits{};
+  std::int64_t sent = 0, received = 0, bytes_sent = 0, bytes_received = 0;
+  std::uint64_t next_noise = 0;
+  std::vector<std::uint64_t> got;  ///< per piece: round, src, size, payload
+
+  bool operator==(const PeOutcome&) const = default;
+};
+
+/// Five exchanges of seeded random plans, two of them on a split
+/// communicator, with seeded compute between them so that receivers both
+/// wait for arrivals and drain late ones. Every plan holds a piece to self,
+/// an empty piece and two pieces to one destination, plus random pieces.
+void random_exchanges(Comm& world, std::vector<PeOutcome>& out) {
+  Xoshiro256 rng(2024, static_cast<std::uint64_t>(world.rank()));
+  std::vector<std::uint64_t>& got =
+      out[static_cast<std::size_t>(world.rank())].got;
+  SendPlan<std::uint64_t> plan;
+  const auto exchange = [&](Comm& comm, std::uint64_t round) {
+    const int p = comm.size();
+    const int me = comm.rank();
+    plan.clear();
+    plan.add(me, std::span<const std::uint64_t>(&round, 1));
+    plan.begin_piece((me + 1) % p);
+    for (int twice = 0; twice < 2; ++twice) {
+      plan.begin_piece((me + 2) % p);
+      plan.push_back(rng());
+    }
+    const int extra = static_cast<int>(rng() % 6);
+    for (int i = 0; i < extra; ++i) {
+      plan.begin_piece(static_cast<int>(rng() % static_cast<std::uint64_t>(p)));
+      for (std::uint64_t n = rng() % 5; n > 0; --n) plan.push_back(rng());
+    }
+    comm.set_phase(round % 2 == 0 ? net::Phase::kDataDelivery
+                                  : net::Phase::kBucketProcessing);
+    comm.charge(3e-6 * rng.uniform());
+    sparse_exchange_into<std::uint64_t>(
+        comm, plan, [&](int src, std::span<const std::uint64_t> piece) {
+          got.push_back(round);
+          got.push_back(static_cast<std::uint64_t>(src));
+          got.push_back(piece.size());
+          got.insert(got.end(), piece.begin(), piece.end());
+        });
+  };
+  exchange(world, 0);
+  exchange(world, 1);
+  Comm half = world.split(world.rank() % 2, world.rank());
+  exchange(half, 2);
+  exchange(half, 3);
+  exchange(world, 4);
+}
+
+/// Runs random_exchanges at p on `backend`, with the collectives'
+/// fast-forward on (bulk path) or off (message path).
+std::vector<PeOutcome> run_random_exchanges(int p, const Backend& backend,
+                                            bool fast_forward) {
+  ScopedEnv workers("PMPS_FIBER_WORKERS",
+                    std::to_string(backend.workers).c_str());
+  ScopedEnv ff("PMPS_COLL_FF", fast_forward ? "1" : "0");
+  MachineParams machine = MachineParams::supermuc_like();
+  machine.comm_noise_frac = 0.3;
+  machine.congestion_noise_frac = 0.2;
+  Engine engine(p, machine, 17, backend.kind);
+  std::vector<PeOutcome> out(static_cast<std::size_t>(p));
+  engine.run([&](Comm& comm) { random_exchanges(comm, out); });
+  // Three exchanges on the world, two on each half.
+  EXPECT_EQ(engine.report().engine.bulk_exchanges,
+            fast_forward ? 3 + 2 * std::min(p, 2) : 0)
+      << describe(backend, p);
+  for (int pe = 0; pe < p; ++pe) {
+    const net::PeContext& ctx = engine.pe_context(pe);
+    PeOutcome& o = out[static_cast<std::size_t>(pe)];
+    o.clock_bits = std::bit_cast<std::uint64_t>(ctx.clock);
+    for (int ph = 0; ph < net::kNumPhases; ++ph)
+      o.phase_bits[static_cast<std::size_t>(ph)] =
+          std::bit_cast<std::uint64_t>(ctx.stats.phase_time[ph]);
+    o.sent = ctx.stats.messages_sent;
+    o.received = ctx.stats.messages_received;
+    o.bytes_sent = ctx.stats.bytes_sent;
+    o.bytes_received = ctx.stats.bytes_received;
+    Xoshiro256 noise = ctx.noise_rng;
+    o.next_noise = noise();
+  }
+  return out;
+}
+
+TEST(SparseExchange, BulkPathMatchesMessagePath) {
+  for (const Backend& backend : backends({1, 3})) {
+    for (const int p : {1, 2, 3, 7, 64}) {
+      const auto bulk = run_random_exchanges(p, backend, true);
+      const auto messages = run_random_exchanges(p, backend, false);
+      for (int pe = 0; pe < p; ++pe) {
+        const auto& b = bulk[static_cast<std::size_t>(pe)];
+        const auto& m = messages[static_cast<std::size_t>(pe)];
+        EXPECT_FALSE(b.got.empty());
+        EXPECT_TRUE(b == m) << describe(backend, p) << " pe=" << pe;
+      }
+    }
+  }
+}
+
+/// The word PE `src` plans for PE `dest` at position j.
+std::uint64_t planned_word(int src, int dest, int j) {
+  return mix64(static_cast<std::uint64_t>(src) * 4099u +
+               static_cast<std::uint64_t>(dest) * 131u +
+               static_cast<std::uint64_t>(j));
+}
+
+TEST(SparseExchange, BulkAbortKeepsPlansUntilReadersFinish) {
+  // PE 1 aborts the run from inside its first sink call and then finishes
+  // reading. PE 0 reads PE 1's piece only once PE 1 has overwritten its
+  // plan, or after a timeout. Every PE overwrites its plan as soon as the
+  // exchange returns or throws. So PE 0 sees the planned bytes only if
+  // PE 1 cannot leave the exchange while PE 0 still reads its plan. PE 0's
+  // wait blocks its worker thread; with ≥ 2 fiber workers PE 1 runs on
+  // another one (fibers are pinned to worker pe % workers).
+  constexpr int kP = 4;
+  constexpr int kWords = 64;
+  const auto fill = [](SendPlan<std::uint64_t>& plan, int me, bool garbage) {
+    plan.clear();
+    for (int dest = 0; dest < kP; ++dest) {
+      plan.begin_piece(dest);
+      for (int j = 0; j < kWords; ++j)
+        plan.push_back(garbage ? ~0ULL : planned_word(me, dest, j));
+    }
+  };
+  for (const Backend& backend : backends({2, 3})) {
+    ScopedEnv workers("PMPS_FIBER_WORKERS",
+                      std::to_string(backend.workers).c_str());
+    Engine engine(kP, MachineParams::supermuc_like(), 3, backend.kind);
+    std::atomic<int> reads{0}, wrong{0};
+    std::array<std::atomic<bool>, kP> overwritten{};
+    const auto sink_for = [&](Comm& comm, bool abort) {
+      return [&comm, &reads, &wrong, &overwritten, abort,
+              first = true](int src, std::span<const std::uint64_t> piece)
+                 mutable {
+        if (abort && comm.rank() == 1 && first)
+          comm.engine().abort_run("aborted from a sink");
+        first = false;
+        if (abort && comm.rank() == 0 && src == 1) {
+          const auto until = std::chrono::steady_clock::now() +
+                             std::chrono::milliseconds(300);
+          while (!overwritten[1] && std::chrono::steady_clock::now() < until)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        reads.fetch_add(1);
+        bool ok = piece.size() == static_cast<std::size_t>(kWords);
+        for (int j = 0; ok && j < kWords; ++j)
+          ok = piece[static_cast<std::size_t>(j)] ==
+               planned_word(src, comm.rank(), j);
+        if (!ok) wrong.fetch_add(1);
+      };
+    };
+    const auto program = [&](bool abort) {
+      return [&, abort](Comm& comm) {
+        SendPlan<std::uint64_t> plan;
+        fill(plan, comm.rank(), false);
+        try {
+          sparse_exchange_into<std::uint64_t>(comm, plan,
+                                              sink_for(comm, abort));
+        } catch (...) {
+          fill(plan, comm.rank(), true);
+          overwritten[static_cast<std::size_t>(comm.rank())] = true;
+          throw;
+        }
+        fill(plan, comm.rank(), true);
+        overwritten[static_cast<std::size_t>(comm.rank())] = true;
+      };
+    };
+    EXPECT_THROW(engine.run(program(true)), net::NetworkError)
+        << describe(backend, kP);
+    EXPECT_EQ(reads.load(), kP * kP) << describe(backend, kP);
+    EXPECT_EQ(wrong.load(), 0) << describe(backend, kP);
+
+    // The aborted run leaves the engine reusable.
+    reads = 0;
+    wrong = 0;
+    for (auto& o : overwritten) o = false;
+    EXPECT_NO_THROW(engine.run(program(false))) << describe(backend, kP);
+    EXPECT_EQ(reads.load(), kP * kP) << describe(backend, kP);
+    EXPECT_EQ(wrong.load(), 0) << describe(backend, kP);
+  }
+}
 
 }  // namespace
 }  // namespace pmps::coll

@@ -19,6 +19,7 @@
 #include "net/engine.hpp"
 #include "net/fiber.hpp"
 #include "net/machine.hpp"
+#include "net/network_model.hpp"
 
 namespace pmps::net {
 namespace {
@@ -495,16 +496,31 @@ TEST(Engine, LongParkReclaimsColdStackPages) {
   });
 }
 
-TEST(Engine, FastForwardCountsTalliesDuringAmsSort) {
-  // The sparse-counts rendezvous (tally_counts) replaces the free-mode dense
-  // Bruck exchange inside sparse_exchange_into; an AMS sort exercises it.
+TEST(Engine, FastForwardCountsBulkExchangesDuringAmsSort) {
+  // Every sparse exchange of an AMS sort (delivery, bucket grouping) takes
+  // the bulk path on a clean network, and none does once fast-forward is
+  // off or a NetworkModel is installed.
   if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
   auto cfg = golden_ams_config();
   cfg.backend = EngineBackend::kFibers;
   const auto res = harness::run_sort_experiment(cfg);
   EXPECT_TRUE(res.check.ok());
   EXPECT_GT(res.report.engine.collective_fast_forwards, 0);
-  EXPECT_GT(res.report.engine.count_tallies, 0);
+  EXPECT_GT(res.report.engine.bulk_exchanges, 0);
+
+  setenv("PMPS_COLL_FF", "0", 1);
+  const auto off = harness::run_sort_experiment(cfg);
+  unsetenv("PMPS_COLL_FF");
+  EXPECT_TRUE(off.check.ok());
+  EXPECT_EQ(off.report.engine.collective_fast_forwards, 0);
+  EXPECT_EQ(off.report.engine.bulk_exchanges, 0);
+
+  auto modelled = cfg;
+  modelled.machine.model = std::make_shared<JitterModel>(0.1, 5);
+  const auto jit = harness::run_sort_experiment(modelled);
+  EXPECT_TRUE(jit.check.ok());
+  EXPECT_EQ(jit.report.engine.collective_fast_forwards, 0);
+  EXPECT_EQ(jit.report.engine.bulk_exchanges, 0);
 }
 
 TEST(Engine, CleanModelGoldensHoldAcrossFiberWorkerCounts) {
