@@ -292,11 +292,16 @@ void ams_level(Comm& comm, std::vector<T>& data,
   }
 
   // Piece sizes per group: buckets are contiguous in `part.elements` and
-  // groups cover consecutive bucket ranges.
+  // group g covers buckets [group_first[g], group_first[g + 1]), which is
+  // empty where a start repeats.
+  PMPS_ASSERT(static_cast<int>(grouping.group_first.size()) == r);
   std::vector<std::int64_t> piece_sizes(static_cast<std::size_t>(r), 0);
-  for (std::int64_t bkt = 0; bkt < num_buckets; ++bkt) {
-    piece_sizes[static_cast<std::size_t>(grouping.group_of(bkt))] +=
-        bucket_sizes[static_cast<std::size_t>(bkt)];
+  for (int g = 0; g < r; ++g) {
+    const auto gi = static_cast<std::size_t>(g);
+    const std::int64_t to =
+        g + 1 < r ? grouping.group_first[gi + 1] : num_buckets;
+    for (std::int64_t bkt = grouping.group_first[gi]; bkt < to; ++bkt)
+      piece_sizes[gi] += bucket_sizes[static_cast<std::size_t>(bkt)];
   }
 
   // --- phase 3: data delivery ----------------------------------------------

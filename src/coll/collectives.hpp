@@ -33,7 +33,10 @@
 //                            all through the same one-element adapter
 //   gatherv / allgatherv   — binomial gather (+ broadcast) → FlatParts<T>
 //   allgather_merge        — gossip of *sorted* runs, merging at every
-//                            combine step (the modified allGather of §4.2)
+//                            combine step (the modified allGather of §4.2);
+//                            the hypercube meets its farthest partner
+//                            first, so the doubling runs cross the nearest,
+//                            cheapest links (docs/DESIGN.md §15)
 //   alltoallv              — dense irregular exchange over (sendbuf, counts);
 //                            Schedule::kDirect posts every pair (p−1
 //                            startups, like mpich), Schedule::kOneFactor
@@ -456,9 +459,11 @@ FlatParts<T> allgatherv(Comm& comm, std::span<const T> local) {
 
 /// All-gather of locally *sorted* runs where combining merges instead of
 /// concatenating, so every intermediate and the final result are sorted.
-/// Power-of-two sizes use the hypercube gossip the paper cites from [21];
-/// other sizes fall back to a merging binomial gather plus broadcast
-/// (footnote 3 of the paper).
+/// Power-of-two sizes use the hypercube gossip the paper cites from [21],
+/// from distance p/2 down to 1: each round doubles the run, so the largest
+/// runs go to the nearest partners, which on a hierarchical machine share
+/// a node. Other sizes fall back to a merging binomial gather plus
+/// broadcast (footnote 3 of the paper).
 template <Sortable T, typename Less = std::less<T>>
 std::vector<T> allgather_merge(Comm& comm, std::span<const T> local_sorted,
                                Less less = {}) {
@@ -477,7 +482,7 @@ std::vector<T> allgather_merge(Comm& comm, std::span<const T> local_sorted,
 
   if (is_pow2(p)) {
     const std::uint64_t tag = comm.next_tag_block();
-    for (int round = 0, step = 1; step < p; ++round, step <<= 1) {
+    for (int round = 0, step = p / 2; step >= 1; ++round, step >>= 1) {
       const int partner = comm.rank() ^ step;
       comm.send<T>(partner, tag + static_cast<std::uint64_t>(round),
                    std::span<const T>(cur));

@@ -10,9 +10,11 @@
 //
 // AMS-sort uses this to sort its sample and extract splitters with
 // prescribed ranks, so the interface here is rank *selection*: every PE
-// returns the elements whose global ranks match `want_ranks`. Elements are
-// tagged with their origin (PE, index), which makes ranks unique even with
-// duplicate keys (Appendix D).
+// returns the elements whose global ranks match `want_ranks`. Each column
+// already knows which of them it holds, and one more gossip along the row
+// hands them to every PE (docs/DESIGN.md §15). Elements are tagged with
+// their origin (PE, index), which makes ranks unique even with duplicate
+// keys (Appendix D).
 //
 // For p that is not a power of two we use the paper's footnote-3 fallback:
 // a merging gather along a binomial tree plus a broadcast of the result.
@@ -37,17 +39,6 @@ using net::Comm;
 
 namespace detail {
 
-template <typename T>
-struct SelectSlot {
-  std::uint8_t has = 0;
-  TaggedKey<T> value{};
-};
-
-template <typename T>
-SelectSlot<T> pick_slot(const SelectSlot<T>& a, const SelectSlot<T>& b) {
-  return a.has ? a : b;
-}
-
 template <typename T, typename Less>
 bool tagged_less(const TaggedKey<T>& a, const TaggedKey<T>& b, Less less) {
   if (less(a.key, b.key)) return true;
@@ -60,12 +51,19 @@ bool tagged_less(const TaggedKey<T>& a, const TaggedKey<T>& b, Less less) {
 
 /// Selects the elements with global (0-based) ranks `want_ranks` from the
 /// distributed input `local`; every PE returns the full selection, ordered
-/// like `want_ranks`. `want_ranks` must be sorted and < the global element
-/// count.
+/// like `want_ranks`. `want_ranks` must be strictly increasing, from 0 up
+/// to below the global element count.
 template <typename T, typename Less = std::less<T>>
 std::vector<TaggedKey<T>> fast_rank_select(
     Comm& comm, std::span<const T> local,
     const std::vector<std::int64_t>& want_ranks, Less less = {}) {
+  PMPS_CHECK_MSG(want_ranks.empty() || want_ranks.front() >= 0,
+                 "requested rank is negative");
+  PMPS_CHECK_MSG(std::adjacent_find(want_ranks.begin(), want_ranks.end(),
+                                    std::greater_equal<>()) ==
+                     want_ranks.end(),
+                 "want_ranks must be strictly increasing");
+  constexpr const char* kBeyond = "requested rank exceeds global sample size";
   const auto& machine = comm.machine();
   auto tless = [less](const TaggedKey<T>& a, const TaggedKey<T>& b) {
     return detail::tagged_less(a, b, less);
@@ -88,7 +86,7 @@ std::vector<TaggedKey<T>> fast_rank_select(
     std::vector<TaggedKey<T>> out;
     out.reserve(want_ranks.size());
     for (std::int64_t k : want_ranks) {
-      PMPS_CHECK(k >= 0 && k < static_cast<std::int64_t>(all.size()));
+      PMPS_CHECK_MSG(k < static_cast<std::int64_t>(all.size()), kBeyond);
       out.push_back(all[static_cast<std::size_t>(k)]);
     }
     return out;
@@ -102,9 +100,10 @@ std::vector<TaggedKey<T>> fast_rank_select(
   const int row = comm.rank() / b;
   const int col = comm.rank() % b;
 
-  Comm row_comm = comm.split(/*color=*/row, /*key=*/col);
-  Comm col_comm = comm.split(/*color=*/a + col, /*key=*/row);
-  PMPS_CHECK(row_comm.size() == b && col_comm.size() == a);
+  // Row `row` is ranks row·b … row·b + b − 1, column `col` is ranks col,
+  // col + b, …: slices every PE computes without a message.
+  Comm row_comm = comm.split_strided(row * b, 1, b);
+  Comm col_comm = comm.split_strided(col, b, a);
 
   // Gossip sorted runs along the row and along the column.
   auto row_data = coll::allgather_merge(
@@ -131,28 +130,20 @@ std::vector<TaggedKey<T>> fast_rank_select(
   // every PE of the column, so the vectors align.
   const auto global_rank = coll::allreduce_add(col_comm, local_rank);
 
-  // Extract the wanted ranks: row 0 of each column contributes matches, a
-  // comm-wide allreduce with "first non-empty wins" distributes them.
-  std::vector<detail::SelectSlot<T>> slots(want_ranks.size());
-  if (row == 0) {
-    for (std::size_t ci = 0; ci < col_data.size(); ++ci) {
-      const auto it = std::lower_bound(want_ranks.begin(), want_ranks.end(),
-                                       global_rank[ci]);
-      if (it != want_ranks.end() && *it == global_rank[ci]) {
-        const auto j = static_cast<std::size_t>(it - want_ranks.begin());
-        slots[j].has = 1;
-        slots[j].value = col_data[ci];
-      }
-    }
+  // Every PE of a column holds the same col_data and global ranks, so each
+  // already knows which wanted elements its column holds. The columns
+  // partition the input and a row meets every column once, so a gossip
+  // along the row hands every PE all of them, merged into rank order.
+  std::vector<TaggedKey<T>> found;
+  for (std::size_t ci = 0, j = 0; ci < col_data.size(); ++ci) {
+    while (j < want_ranks.size() && want_ranks[j] < global_rank[ci]) ++j;
+    if (j == want_ranks.size()) break;
+    if (want_ranks[j] == global_rank[ci]) found.push_back(col_data[ci]);
   }
-  slots = coll::allreduce(comm, std::move(slots), detail::pick_slot<T>);
-
-  std::vector<TaggedKey<T>> out;
-  out.reserve(want_ranks.size());
-  for (std::size_t j = 0; j < want_ranks.size(); ++j) {
-    PMPS_CHECK_MSG(slots[j].has, "requested rank exceeds global sample size");
-    out.push_back(slots[j].value);
-  }
+  auto out = coll::allgather_merge(
+      row_comm, std::span<const TaggedKey<T>>(found.data(), found.size()),
+      tless);
+  PMPS_CHECK_MSG(out.size() == want_ranks.size(), kBeyond);
   return out;
 }
 

@@ -4,7 +4,10 @@
 // *consecutive ranges* of buckets to r PE groups such that the maximum
 // group load L is minimal. The feasibility check is the scanning algorithm
 // of §6 (greedy: open a new group when the next bucket would exceed L);
-// Lemma 1 proves scanning + binary search on L is optimal.
+// Lemma 1 proves scanning + binary search on L is optimal. A scan walks the
+// buckets' prefix sums, computed once per search, and gallops to each
+// group's end, so it costs O(r log(B/r)) host time instead of O(B)
+// (docs/DESIGN.md §15). Bucket sizes are non-negative.
 //
 // Three search strategies are provided:
 //   group_buckets_naive     — plain binary search over integer L
@@ -56,43 +59,68 @@ struct ScanOutcome {
   std::vector<std::int64_t> group_first;
 };
 
-/// The scanning algorithm: greedily fill groups with consecutive buckets,
-/// starting a new group when adding the next bucket would exceed `limit`.
-/// Feasible iff at most r groups are needed (and no single bucket > limit).
-inline ScanOutcome scan(std::span<const std::int64_t> buckets, int r,
+/// Prefix sums of the bucket sizes: prefix[i] = Σ buckets[0, i), B + 1
+/// entries.
+inline std::vector<std::int64_t> prefix_sums(
+    std::span<const std::int64_t> buckets) {
+  std::vector<std::int64_t> prefix(buckets.size() + 1, 0);
+  for (std::size_t i = 0; i < buckets.size(); ++i)
+    prefix[i + 1] = prefix[i] + buckets[i];
+  return prefix;
+}
+
+/// The scanning algorithm on prefix sums: greedily fill groups with
+/// consecutive buckets, starting a new group when adding the next bucket
+/// would exceed `limit`. Feasible iff at most r groups are needed (and no
+/// single bucket > limit). Each group's end is the first j with
+/// prefix[j] − prefix[start] > limit, found by galloping from the start;
+/// the outcome is that of adding the buckets one by one.
+inline ScanOutcome scan(std::span<const std::int64_t> prefix, int r,
                         std::int64_t limit) {
   ScanOutcome out;
+  out.group_first.reserve(static_cast<std::size_t>(r));
   out.group_first.push_back(0);
-  std::int64_t load = 0;
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(buckets.size()); ++i) {
-    const std::int64_t b = buckets[static_cast<std::size_t>(i)];
+  const std::size_t B = prefix.size() - 1;
+  std::size_t start = 0;
+  for (;;) {
+    const std::int64_t base = prefix[start];
+    if (start == B || prefix[B] - base <= limit) {
+      // The rest fits in this group.
+      out.largest_group = std::max(out.largest_group, prefix[B] - base);
+      out.feasible = true;
+      while (static_cast<int>(out.group_first.size()) < r)
+        out.group_first.push_back(static_cast<std::int64_t>(B));
+      return out;
+    }
+    // Gallop to an index past the group's end, then binary-search: `end`
+    // becomes the first j > start with prefix[j] − base > limit (≤ B).
+    std::size_t fits = start;  // prefix[j] − base ≤ limit for j in (start, fits]
+    std::size_t step = 1;
+    while (start + step < B && prefix[start + step] - base <= limit) {
+      fits = start + step;
+      step *= 2;
+    }
+    const std::size_t probe_end = std::min(start + step, B);
+    const std::size_t end = static_cast<std::size_t>(
+        std::upper_bound(prefix.begin() + static_cast<std::ptrdiff_t>(fits + 1),
+                         prefix.begin() + static_cast<std::ptrdiff_t>(probe_end),
+                         base + limit) -
+        prefix.begin());
+    const std::size_t next = end - 1;  // the bucket that does not fit
+    const std::int64_t b = prefix[end] - prefix[next];
     if (b > limit) {
       // A single bucket exceeding the limit can never fit.
       out.min_overflow = std::min(out.min_overflow, b);
       return out;
     }
-    if (load + b > limit) {
-      out.min_overflow = std::min(out.min_overflow, load + b);
-      out.largest_group = std::max(out.largest_group, load);
-      if (static_cast<int>(out.group_first.size()) == r) {
-        return out;  // would need an (r+1)-th group
-      }
-      out.group_first.push_back(i);
-      load = 0;
+    out.min_overflow = std::min(out.min_overflow, prefix[end] - base);
+    out.largest_group = std::max(out.largest_group, prefix[next] - base);
+    if (static_cast<int>(out.group_first.size()) == r) {
+      return out;  // would need an (r+1)-th group
     }
-    load += b;
+    out.group_first.push_back(static_cast<std::int64_t>(next));
+    start = next;
   }
-  out.largest_group = std::max(out.largest_group, load);
-  out.feasible = true;
-  while (static_cast<int>(out.group_first.size()) < r)
-    out.group_first.push_back(static_cast<std::int64_t>(buckets.size()));
-  return out;
-}
-
-inline std::int64_t total(std::span<const std::int64_t> buckets) {
-  std::int64_t t = 0;
-  for (auto b : buckets) t += b;
-  return t;
 }
 
 inline std::int64_t max_bucket(std::span<const std::int64_t> buckets) {
@@ -107,14 +135,15 @@ inline std::int64_t max_bucket(std::span<const std::int64_t> buckets) {
 inline GroupingResult group_buckets_naive(
     std::span<const std::int64_t> buckets, int r) {
   PMPS_CHECK(r >= 1 && !buckets.empty());
-  const std::int64_t tot = detail::total(buckets);
+  const auto prefix = detail::prefix_sums(buckets);
+  const std::int64_t tot = prefix.back();
   std::int64_t lo = std::max(detail::max_bucket(buckets),
                              (tot + r - 1) / r);  // both are lower bounds
   std::int64_t hi = tot;
   GroupingResult res;
   while (lo < hi) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    auto sc = detail::scan(buckets, r, mid);
+    auto sc = detail::scan(prefix, r, mid);
     ++res.scans;
     if (sc.feasible) {
       hi = mid;
@@ -122,7 +151,7 @@ inline GroupingResult group_buckets_naive(
       lo = mid + 1;
     }
   }
-  auto sc = detail::scan(buckets, r, lo);
+  auto sc = detail::scan(prefix, r, lo);
   ++res.scans;
   PMPS_CHECK(sc.feasible);
   res.max_load = lo;
@@ -137,7 +166,8 @@ inline GroupingResult group_buckets_naive(
 inline GroupingResult group_buckets_optimal(
     std::span<const std::int64_t> buckets, int r) {
   PMPS_CHECK(r >= 1 && !buckets.empty());
-  const std::int64_t tot = detail::total(buckets);
+  const auto prefix = detail::prefix_sums(buckets);
+  const std::int64_t tot = prefix.back();
   std::int64_t lo =
       std::max(detail::max_bucket(buckets), (tot + r - 1) / r);
   std::int64_t hi = tot;
@@ -146,7 +176,7 @@ inline GroupingResult group_buckets_optimal(
   std::int64_t best = -1;
   while (lo <= hi) {
     const std::int64_t mid = lo + (hi - lo) / 2;
-    auto sc = detail::scan(buckets, r, mid);
+    auto sc = detail::scan(prefix, r, mid);
     ++res.scans;
     if (sc.feasible) {
       best = sc.largest_group;  // realisable and ≤ mid
@@ -173,7 +203,8 @@ inline GroupingResult group_buckets_relevant_ranges(
     std::span<const std::int64_t> buckets, int r,
     double window_factor = 2.0) {
   PMPS_CHECK(r >= 1 && !buckets.empty());
-  const std::int64_t tot = detail::total(buckets);
+  const auto prefix = detail::prefix_sums(buckets);
+  const std::int64_t tot = prefix.back();
   const std::int64_t lower =
       std::max(detail::max_bucket(buckets), (tot + r - 1) / r);
   const auto upper = static_cast<std::int64_t>(
@@ -216,7 +247,7 @@ inline GroupingResult group_buckets_relevant_ranges(
   std::size_t lo = 0, hi = candidates.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    auto sc = detail::scan(buckets, r, candidates[mid]);
+    auto sc = detail::scan(prefix, r, candidates[mid]);
     ++res.scans;
     if (sc.feasible) {
       best = sc.largest_group;
@@ -242,6 +273,7 @@ inline GroupingResult group_buckets_bruteforce(
     std::span<const std::int64_t> buckets, int r) {
   PMPS_CHECK(r >= 1 && !buckets.empty());
   const auto B = static_cast<std::int64_t>(buckets.size());
+  const auto prefix = detail::prefix_sums(buckets);
   GroupingResult res;
   std::int64_t best = std::numeric_limits<std::int64_t>::max();
   std::vector<std::int64_t> best_groups;
@@ -250,7 +282,7 @@ inline GroupingResult group_buckets_bruteforce(
     for (std::int64_t j = i; j < B; ++j) {
       sum += buckets[static_cast<std::size_t>(j)];
       if (sum >= best) break;
-      auto sc = detail::scan(buckets, r, sum);
+      auto sc = detail::scan(prefix, r, sum);
       ++res.scans;
       if (sc.feasible && sc.largest_group < best) {
         best = sc.largest_group;
@@ -270,7 +302,8 @@ inline GroupingResult group_buckets_bruteforce(
 inline GroupingResult group_buckets_parallel(
     net::Comm& comm, std::span<const std::int64_t> buckets, int r) {
   PMPS_CHECK(r >= 1 && !buckets.empty());
-  const std::int64_t tot = detail::total(buckets);
+  const auto prefix = detail::prefix_sums(buckets);
+  const std::int64_t tot = prefix.back();
   const int p = comm.size();
   std::int64_t lo =
       std::max(detail::max_bucket(buckets), (tot + r - 1) / r);
@@ -281,7 +314,7 @@ inline GroupingResult group_buckets_parallel(
     const std::int64_t probe =
         lo + (hi - lo) * (static_cast<std::int64_t>(comm.rank()) + 1) /
                  (static_cast<std::int64_t>(p) + 1);
-    auto sc = detail::scan(buckets, r, probe);
+    auto sc = detail::scan(prefix, r, probe);
     ++res.scans;
     // Round to realisable values per the first observation of Appendix C.
     const std::int64_t failed_lb =
@@ -302,7 +335,7 @@ inline GroupingResult group_buckets_parallel(
     lo = new_lo;
     hi = new_hi;
   }
-  auto sc = detail::scan(buckets, r, lo);
+  auto sc = detail::scan(prefix, r, lo);
   ++res.scans;
   PMPS_CHECK(sc.feasible);
   res.max_load = lo;

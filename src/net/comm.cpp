@@ -165,10 +165,33 @@ Comm Comm::split(int color, int key) {
   return Comm(engine_, ctx_, std::move(members), new_rank, child_id);
 }
 
+Comm Comm::split_strided(int first, int stride, int count) {
+  PMPS_CHECK(first >= 0 && stride >= 1 && count >= 1);
+  PMPS_CHECK(static_cast<std::int64_t>(first) +
+                 static_cast<std::int64_t>(count - 1) * stride <
+             size());
+  const int offset = rank_ - first;
+  PMPS_CHECK_MSG(offset >= 0 && offset % stride == 0 &&
+                     offset / stride < count,
+                 "calling PE must be in its own slice");
+
+  const std::uint64_t tag = next_tag_block();
+  auto members = std::make_shared<std::vector<int>>(
+      static_cast<std::size_t>(count));
+  for (int k = 0; k < count; ++k)
+    (*members)[static_cast<std::size_t>(k)] = member(first + k * stride);
+
+  const std::uint64_t child_id =
+      mix64(comm_id_ * 0x9e3779b97f4a7c15ULL + tag + 0x2545f4914f6cdd1dULL +
+            static_cast<std::uint64_t>(first + 1) * 0x100000001b3ULL +
+            static_cast<std::uint64_t>(stride) * 0xc2b2ae3d27d4eb4fULL);
+  return Comm(engine_, ctx_, std::move(members), offset / stride, child_id);
+}
+
 Comm Comm::split_consecutive(int groups) {
   PMPS_CHECK(groups >= 1 && size() % groups == 0);
   const int group_size = size() / groups;
-  return split(rank_ / group_size, rank_ % group_size);
+  return split_strided(rank_ - rank_ % group_size, 1, group_size);
 }
 
 }  // namespace pmps::net

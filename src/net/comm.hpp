@@ -1,8 +1,10 @@
 // Comm: an MPI-communicator-like handle for SPMD programs on the simulated
-// cluster. Each PE (thread) holds its own Comm instance; Comm::split()
-// creates sub-communicators for the recursion of the multi-level sorting
-// algorithms (its cost is not charged, matching the paper's §7.1 note that
-// communicator construction is precomputation).
+// cluster. Each PE (thread) holds its own Comm instance. Sub-communicators
+// for the recursion of the multi-level sorting algorithms and for the §4.2
+// grid are slices of the parent's members that every PE computes alone
+// (split_strided, split_consecutive); split() agrees on an arbitrary
+// coloring by exchanging messages. Neither is charged, matching the
+// paper's §7.1 note that communicator construction is precomputation.
 //
 // Point-to-point semantics: send() is asynchronous (deposits into the
 // destination mailbox with a virtual arrival time); recv() blocks the PE —
@@ -159,12 +161,23 @@ class Comm {
   // --- sub-communicators ------------------------------------------------------
   /// Splits this communicator: PEs with equal `color` form a new
   /// communicator, ranked by (key, parent rank). Collective over all
-  /// members. Not charged to virtual time (precomputation, see §7.1).
+  /// members: a binomial gather of every member's (color, key) to rank 0
+  /// and a broadcast of the whole table, Θ(p) bytes to every PE. Not
+  /// charged to virtual time (precomputation, see §7.1).
   Comm split(int color, int key);
 
+  /// The sub-communicator of parent ranks first, first + stride, …,
+  /// first + (count − 1)·stride, ranked in that order; the caller must be
+  /// one of them. Every PE knows its slice, so nothing is sent: it has the
+  /// members and ranks of split(color, key) for any coloring that groups
+  /// exactly these ranks in this order. Every member of this communicator
+  /// calls it in lockstep, each with the slice that holds it (the child's
+  /// id comes from next_tag_block). Not charged (§7.1; docs/DESIGN.md §15).
+  Comm split_strided(int first, int stride, int count);
+
   /// Splits into `groups` equal consecutive groups; returns the
-  /// sub-communicator for this PE's group. Requires size() % groups == 0
-  /// unless allow_uneven.
+  /// sub-communicator for this PE's group (a split_strided slice).
+  /// Requires size() % groups == 0.
   Comm split_consecutive(int groups);
 
  private:

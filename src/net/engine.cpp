@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -12,18 +13,19 @@
 #include "common/check.hpp"
 #include "net/comm.hpp"
 #include "net/fiber.hpp"
+#include "net/knobs.hpp"
 #include "net/network_model.hpp"
 
 namespace pmps::net {
 
 namespace {
 
+constexpr long kIntMax = std::numeric_limits<int>::max();
+
 EngineBackend resolve_backend(EngineBackend requested) {
   if (requested == EngineBackend::kAuto) {
-    if (const char* env = std::getenv("PMPS_ENGINE")) {
-      if (std::strcmp(env, "threads") == 0) return EngineBackend::kThreads;
-      if (std::strcmp(env, "fibers") == 0) requested = EngineBackend::kFibers;
-    }
+    if (const auto env = read_knob("PMPS_ENGINE", {"threads", "fibers"}))
+      requested = *env == 0 ? EngineBackend::kThreads : EngineBackend::kFibers;
   }
   if (requested == EngineBackend::kThreads) return EngineBackend::kThreads;
   // kAuto default and explicit kFibers: fibers where the platform has them.
@@ -33,39 +35,27 @@ EngineBackend resolve_backend(EngineBackend requested) {
 std::size_t fiber_stack_bytes() {
   // 256 KiB of lazily committed stack per PE is generous for the SPMD
   // programs here (heap-allocated data, shallow recursion); overridable for
-  // unusual workloads.
-  std::size_t kb = 256;
-  if (const char* env = std::getenv("PMPS_FIBER_STACK_KB")) {
-    const long v = std::atol(env);
-    if (v >= 64) kb = static_cast<std::size_t>(v);
-  }
-  return kb * 1024;
+  // unusual workloads, from 64 KiB up to 1 GiB.
+  const long kb = read_knob("PMPS_FIBER_STACK_KB", 64, 1L << 20).value_or(256);
+  return static_cast<std::size_t>(kb) * 1024;
 }
 
 int fiber_workers(int num_pes) {
-  int w = static_cast<int>(std::thread::hardware_concurrency());
-  if (const char* env = std::getenv("PMPS_FIBER_WORKERS")) {
-    const int v = std::atoi(env);
-    if (v >= 1) w = v;
-  }
-  return std::clamp(w, 1, num_pes);
+  const long w = read_knob("PMPS_FIBER_WORKERS", 1, kIntMax)
+                     .value_or(std::thread::hardware_concurrency());
+  return std::clamp(static_cast<int>(w), 1, num_pes);
 }
 
 int threads_max_p() {
   // The legacy backend spawns one OS thread per PE per run; beyond a few
   // thousand that exhausts process limits (thread stacks, pid slots) long
   // before the run finishes. Refuse early with a clear error instead.
-  int cap = 4096;
-  if (const char* env = std::getenv("PMPS_THREADS_MAX_P")) {
-    const int v = std::atoi(env);
-    if (v >= 1) cap = v;
-  }
-  return cap;
+  return static_cast<int>(
+      read_knob("PMPS_THREADS_MAX_P", 1, kIntMax).value_or(4096));
 }
 
 bool coll_ff_from_env() {
-  const char* env = std::getenv("PMPS_COLL_FF");
-  return env == nullptr || std::strcmp(env, "0") != 0;
+  return read_knob("PMPS_COLL_FF", {"0", "1"}).value_or(1) == 1;
 }
 
 /// Approximately standard-normal deviate from three uniforms (Irwin–Hall);

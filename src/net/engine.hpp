@@ -451,7 +451,8 @@ RunReport run_spmd(int num_pes, const MachineParams& machine,
 
 /// The backend `requested` resolves to on this host (kAuto → PMPS_ENGINE
 /// env var, else fibers where supported) — what Engine::backend() would
-/// report after construction.
+/// report after construction. Like every PMPS_* knob, a value the variable
+/// does not accept throws std::invalid_argument (net/knobs.hpp).
 EngineBackend resolve_engine_backend(
     EngineBackend requested = EngineBackend::kAuto);
 

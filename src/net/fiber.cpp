@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -25,6 +26,7 @@
 
 #include "common/check.hpp"
 #include "common/math.hpp"
+#include "net/knobs.hpp"
 
 // ---------------------------------------------------------------------------
 // Context switching.
@@ -298,11 +300,10 @@ class StackPool {
   };
 
   explicit StackPool(std::size_t stack_bytes) : stack_bytes_(stack_bytes) {
-    guarded_cap_ = 4096;
-    if (const char* env = std::getenv("PMPS_FIBER_GUARDED_STACKS")) {
-      const long v = std::atol(env);
-      if (v >= 0) guarded_cap_ = static_cast<std::size_t>(v);
-    }
+    guarded_cap_ = static_cast<std::size_t>(
+        read_knob("PMPS_FIBER_GUARDED_STACKS", 0,
+                  std::numeric_limits<int>::max())
+            .value_or(4096));
   }
 
   ~StackPool() {

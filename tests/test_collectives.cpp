@@ -25,6 +25,7 @@
 #include "common/random.hpp"
 #include "net/engine.hpp"
 #include "net/network_model.hpp"
+#include "test_backends.hpp"
 
 namespace pmps::coll {
 namespace {
@@ -32,6 +33,10 @@ namespace {
 using net::Comm;
 using net::Engine;
 using net::MachineParams;
+using test_support::Backend;
+using test_support::backends;
+using test_support::describe;
+using test_support::ScopedEnv;
 
 // ---------------------------------------------------------------------------
 // FlatParts accessors (no engine needed)
@@ -531,6 +536,42 @@ TEST(AllreduceLong, VirtualTimeMatchesClosedFormOnFlatMachine) {
   }
 }
 
+TEST(AllgatherMerge, VirtualTimeMatchesClosedFormOnTwoNodes) {
+  // p = 32 on supermuc_like() is two 16-PE nodes. The gossip meets its
+  // farthest partner first, so the one island-level round carries each
+  // PE's own run of n words, and the four rounds inside the node carry
+  // 2n, 4n, 8n and 16n. As in the long allreduce, a pairwise exchange of
+  // b bytes costs α + 2βb; every round then merges the two runs.
+  const MachineParams m = MachineParams::supermuc_like();
+  const int p = 32;
+  const std::int64_t n = 64;
+  Engine engine(p, m, 3);
+  engine.run([&](Comm& comm) {
+    std::vector<std::int64_t> mine(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i)
+      mine[static_cast<std::size_t>(i)] = i * p + comm.rank();
+    const auto all =
+        allgather_merge(comm, std::span<const std::int64_t>(mine));
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(n * p));
+    for (std::size_t i = 0; i < all.size(); ++i)
+      ASSERT_EQ(all[i], static_cast<std::int64_t>(i));
+  });
+  const auto round = [&](net::LinkLevel lvl, std::int64_t words) {
+    const int l = static_cast<int>(lvl);
+    return m.alpha[l] + 2 * m.beta[l] * 8.0 * static_cast<double>(words) +
+           m.merge_cost(2 * words, 2);
+  };
+  double far_first = round(net::LinkLevel::kIsland, n);
+  double near_first = 0;
+  for (int k = 1; k <= 4; ++k)
+    far_first += round(net::LinkLevel::kNode, n << k);
+  for (int k = 0; k < 4; ++k) near_first += round(net::LinkLevel::kNode, n << k);
+  near_first += round(net::LinkLevel::kIsland, n << 4);
+  EXPECT_NEAR(engine.report().wall_time, far_first, 1e-12 * far_first);
+  // Meeting the near partners first would send the largest run off-node.
+  EXPECT_LT(far_first, near_first / 2);
+}
+
 // ---------------------------------------------------------------------------
 // property: flat collectives match a naive p2p reference
 // ---------------------------------------------------------------------------
@@ -655,53 +696,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FlatVsP2P,
 // ---------------------------------------------------------------------------
 // bulk sparse exchange: bit-identical to the message path, safe on abort
 // ---------------------------------------------------------------------------
-
-/// Sets an environment variable for one scope, restoring the old value.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_) {
-      setenv(name_, old_->c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
-/// One engine backend to run a test on; `workers` applies to fibers.
-struct Backend {
-  net::EngineBackend kind;
-  int workers;
-};
-
-/// Fibers with each of `fiber_workers`, then threads. Only threads when
-/// PMPS_ENGINE=threads selects them (ThreadSanitizer cannot follow the
-/// fiber switch) or fibers are unsupported.
-std::vector<Backend> backends(std::initializer_list<int> fiber_workers) {
-  std::vector<Backend> out;
-  if (net::resolve_engine_backend() == net::EngineBackend::kFibers)
-    for (const int w : fiber_workers)
-      out.push_back({net::EngineBackend::kFibers, w});
-  out.push_back({net::EngineBackend::kThreads, 1});
-  return out;
-}
-
-std::string describe(const Backend& b, int p) {
-  return (b.kind == net::EngineBackend::kThreads
-              ? std::string("threads")
-              : "fibers x" + std::to_string(b.workers)) +
-         " p=" + std::to_string(p);
-}
 
 /// Everything a sparse exchange leaves behind on one PE.
 struct PeOutcome {

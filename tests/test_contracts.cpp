@@ -10,6 +10,7 @@
 #include "baseline/hypercube_quicksort.hpp"
 #include "coll/collectives.hpp"
 #include "delivery/delivery.hpp"
+#include "fastsort/fast_rank_sort.hpp"
 #include "net/engine.hpp"
 
 namespace pmps {
@@ -75,6 +76,35 @@ TEST(ContractDeath, DeliveryRejectsSizeMismatch) {
         });
       },
       "");
+}
+
+TEST(ContractDeath, FastRankSelectRejectsRepeatedRank) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine engine(4, MachineParams::supermuc_like(), 1);
+        engine.run([](Comm& comm) {
+          const std::vector<std::uint64_t> mine{1, 2, 3};
+          (void)fastsort::fast_rank_select(
+              comm, std::span<const std::uint64_t>(mine), {2, 5, 5});
+        });
+      },
+      "want_ranks must be strictly increasing");
+}
+
+TEST(ContractDeath, FastRankSelectRejectsRankBeyondCount) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine engine(4, MachineParams::supermuc_like(), 1);
+        engine.run([](Comm& comm) {
+          const std::vector<std::uint64_t> mine{1, 2, 3};
+          // 12 elements in all: rank 12 does not exist.
+          (void)fastsort::fast_rank_select(
+              comm, std::span<const std::uint64_t>(mine), {0, 11, 12});
+        });
+      },
+      "requested rank exceeds global sample size");
 }
 
 TEST(ContractDeath, SplitConsecutiveRequiresDivisibility) {

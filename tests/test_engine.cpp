@@ -7,12 +7,12 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ams/ams_sort.hpp"
 #include "coll/collectives.hpp"
-#include "fastsort/fast_rank_sort.hpp"
 #include "harness/runner.hpp"
 #include "harness/workloads.hpp"
 #include "net/comm.hpp"
@@ -20,6 +20,7 @@
 #include "net/fiber.hpp"
 #include "net/machine.hpp"
 #include "net/network_model.hpp"
+#include "test_backends.hpp"
 
 namespace pmps::net {
 namespace {
@@ -181,6 +182,64 @@ TEST(Engine, SplitByColorAndKey) {
   });
 }
 
+/// Checks that `local` has the members and rank of `reference`, sends no
+/// message building them, and carries an allreduce.
+void expect_same_comm(Comm& local, Comm& reference, const std::string& what) {
+  ASSERT_EQ(local.size(), reference.size()) << what;
+  EXPECT_EQ(local.rank(), reference.rank()) << what;
+  std::int64_t sum = 0;
+  for (int i = 0; i < local.size(); ++i) {
+    EXPECT_EQ(local.member(i), reference.member(i)) << what << " member " << i;
+    sum += local.member(i);
+  }
+  EXPECT_EQ(coll::allreduce_add_one(local, local.world_rank()), sum) << what;
+}
+
+TEST(Engine, LocalSubCommunicatorsMatchColorKeySplit) {
+  // Every consecutive group and every row and column of the a×b grid built
+  // locally must equal split(color, key) with the matching color and key.
+  for (const auto& backend : test_support::backends({1, 3})) {
+    test_support::ScopedEnv workers(
+        "PMPS_FIBER_WORKERS", std::to_string(backend.workers).c_str());
+    for (const int p : {1, 2, 3, 16, 64, 256}) {
+      const std::string where = test_support::describe(backend, p);
+      int b = 1;  // grid columns: the largest divisor with b·b ≤ p
+      for (int d = 1; d * d <= p; ++d)
+        if (p % d == 0) b = d;
+      const int a = p / b;
+      Engine engine(p, MachineParams::supermuc_like(), 3, backend.kind);
+      engine.run([&](Comm& comm) {
+        const int me = comm.rank();
+        const int row = me / b;
+        const int col = me % b;
+        Comm row_local = comm.split_strided(row * b, 1, b);
+        Comm col_local = comm.split_strided(col, b, a);
+        std::vector<Comm> groups_local;
+        std::vector<int> group_counts;
+        for (int g = 1; g <= p; ++g) {
+          if (p % g != 0) continue;
+          groups_local.push_back(comm.split_consecutive(g));
+          group_counts.push_back(g);
+        }
+        // Built from the PE's own knowledge: no message, no virtual time.
+        EXPECT_EQ(comm.ctx().stats.messages_sent, 0) << where;
+        EXPECT_EQ(comm.now(), 0.0) << where;
+
+        Comm row_ref = comm.split(row, col);
+        Comm col_ref = comm.split(a + col, row);
+        expect_same_comm(row_local, row_ref, where + " row");
+        expect_same_comm(col_local, col_ref, where + " column");
+        for (std::size_t i = 0; i < groups_local.size(); ++i) {
+          const int size = p / group_counts[i];
+          Comm ref = comm.split(me / size, me % size);
+          expect_same_comm(groups_local[i], ref,
+                           where + " groups=" + std::to_string(group_counts[i]));
+        }
+      });
+    }
+  }
+}
+
 TEST(Engine, NoisePerturbsTimesDeterministically) {
   auto noisy = MachineParams::supermuc_like();
   noisy.comm_noise_frac = 0.3;
@@ -295,8 +354,8 @@ TEST(Engine, ReportIdenticalAcrossBackendsWithNoise) {
 // fault injection existed, and every backend / worker-count combination must
 // still reproduce them byte for byte. Their allreduces all run the short
 // (binomial) schedule; kGoldenAmsLong, captured when the long-vector
-// allreduce landed, pins a shape whose bucket-size and slot allreduces run
-// the long one. If an intentional cost-model change ever shifts them,
+// allreduce landed, pins a shape whose bucket-size allreduce runs the long
+// one. If an intentional cost-model change ever shifts them,
 // re-capture with the printf format below.
 
 std::string canonical_summary(const harness::RunConfig& cfg) {
@@ -320,10 +379,10 @@ std::string canonical_summary(const harness::RunConfig& cfg) {
 }
 
 constexpr const char* kGoldenAms =
-    "wall=0x1.1c044cb0a0ac3p-13 other=0x1.930e4b587f2e5p-19 "
-    "split=0x1.bf997addab314p-15 bucket=0x1.aa1fdfd579551p-16 "
+    "wall=0x1.079fa1f257c1ep-13 other=0x1.930e4b587f2e5p-19 "
+    "split=0x1.6e06cfe48787ep-15 bucket=0x1.aa20f2b637d78p-16 "
     "deliv=0x1.4ae490f4eb8b7p-16 sort=0x1.1cc5243a7c5d3p-15 "
-    "sent=82 recv=79 bytes=386240 total=6400 imb=0x1.3d70a3d70a3dp-4 ok=1";
+    "sent=79 recv=76 bytes=307616 total=6400 imb=0x1.3d70a3d70a3dp-4 ok=1";
 
 constexpr const char* kGoldenRlm =
     "wall=0x1.c6f2ba86134b7p-12 other=0x1.8b3a698a542f8p-18 "
@@ -332,10 +391,10 @@ constexpr const char* kGoldenRlm =
     "sent=525 recv=414 bytes=135264 total=3600 imb=0x0p+0 ok=1";
 
 constexpr const char* kGoldenAmsLong =
-    "wall=0x1.2aad60c3f31bep-11 other=0x1.9394deb5c45e9p-17 "
-    "split=0x1.3e3147fdaa45fp-12 bucket=0x1.345e74920915p-14 "
-    "deliv=0x1.631c9341f4fe2p-13 sort=0x1.e3b1d2f22dcfap-17 "
-    "sent=153 recv=153 bytes=8507720 total=12800 imb=0x1.47ae147ae148p-5 ok=1";
+    "wall=0x1.f442b4dcee3a2p-12 other=0x1.9394deb5c45e9p-17 "
+    "split=0x1.bb24ae8544506p-13 bucket=0x1.31b5b3fa3a11ap-14 "
+    "deliv=0x1.631c9341f4fcep-13 sort=0x1.e3b1d2f22dcfap-17 "
+    "sent=144 recv=144 bytes=5757896 total=12800 imb=0x1.47ae147ae148p-5 ok=1";
 
 harness::RunConfig golden_ams_config() {
   harness::RunConfig cfg;
@@ -348,8 +407,9 @@ harness::RunConfig golden_ams_config() {
 }
 
 /// 1-level AMS at p = 64: r = 64 groups × b = 16 buckets, so the
-/// bucket-size allreduce carries 1024 words and fast_rank_select's slot
-/// allreduce 1023 × 32 bytes, both past the long-vector crossover.
+/// bucket-size allreduce carries 1024 words, past the long-vector
+/// crossover, and fast_rank_select's row gossip hands every PE 1023
+/// splitters.
 harness::RunConfig golden_ams_long_config() {
   harness::RunConfig cfg;
   cfg.p = 64;
@@ -380,10 +440,7 @@ TEST(Engine, LongGoldenShapeRunsTheLongAllreduce) {
   Engine engine(64, MachineParams::supermuc_like(), /*seed=*/1);
   std::atomic<int> long_paths{0};
   engine.run([&](Comm& comm) {
-    const std::size_t slot_bytes =
-        sizeof(fastsort::detail::SelectSlot<std::uint64_t>);
-    if (coll::detail::allreduce_is_long(comm, 1024 * sizeof(std::int64_t)) &&
-        coll::detail::allreduce_is_long(comm, 1023 * slot_bytes))
+    if (coll::detail::allreduce_is_long(comm, 1024 * sizeof(std::int64_t)))
       long_paths.fetch_add(1);
   });
   EXPECT_EQ(long_paths.load(), 64);
@@ -546,6 +603,91 @@ TEST(Engine, CleanModelGoldensHoldAcrossFiberWorkerCounts) {
     setenv("PMPS_FIBER_WORKERS", saved.c_str(), 1);
   } else {
     unsetenv("PMPS_FIBER_WORKERS");
+  }
+}
+
+// --- runtime knobs: rejected by name, never silently defaulted -----------
+
+/// Expects `start` to throw std::invalid_argument naming knob `name`, its
+/// `value` and what it accepts.
+template <typename F>
+void expect_rejected(const char* name, const char* value, F&& start) {
+  test_support::ScopedEnv env(name, value);
+  try {
+    start();
+    ADD_FAILURE() << name << "=\"" << value << "\" was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+    EXPECT_NE(what.find(std::string("\"") + value + "\""), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("expected"), std::string::npos) << what;
+  }
+}
+
+/// A 4-PE barrier on `backend`: the engine reads every knob it uses while
+/// it is built and before its PEs start.
+void run_small(EngineBackend backend) {
+  Engine engine(4, MachineParams::supermuc_like(), 1, backend);
+  engine.run([](Comm& comm) { coll::barrier(comm); });
+}
+
+TEST(RuntimeKnobs, EngineAcceptsOnlyThreadsOrFibers) {
+  for (const char* bad : {"fiber", "THREADS", "auto", ""})
+    expect_rejected("PMPS_ENGINE", bad, [] { run_small(EngineBackend::kAuto); });
+  test_support::ScopedEnv env("PMPS_ENGINE", "threads");
+  EXPECT_EQ(Engine(4, MachineParams::supermuc_like()).backend(),
+            EngineBackend::kThreads);
+  run_small(EngineBackend::kAuto);
+}
+
+TEST(RuntimeKnobs, FiberStackKbNeedsAnIntegerOfAtLeast64) {
+  if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
+  for (const char* bad : {"63", "0", "abc", "128k", ""})
+    expect_rejected("PMPS_FIBER_STACK_KB", bad,
+                    [] { run_small(EngineBackend::kFibers); });
+  test_support::ScopedEnv env("PMPS_FIBER_STACK_KB", "64");
+  run_small(EngineBackend::kFibers);
+}
+
+TEST(RuntimeKnobs, FiberWorkersNeedsAPositiveInteger) {
+  if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
+  for (const char* bad : {"0", "-1", "two", "1.5"})
+    expect_rejected("PMPS_FIBER_WORKERS", bad,
+                    [] { run_small(EngineBackend::kFibers); });
+  for (const char* good : {"1", "3", "4"}) {
+    test_support::ScopedEnv env("PMPS_FIBER_WORKERS", good);
+    run_small(EngineBackend::kFibers);
+  }
+}
+
+TEST(RuntimeKnobs, ThreadsMaxPNeedsAPositiveInteger) {
+  for (const char* bad : {"0", "-4", "4096x"})
+    expect_rejected("PMPS_THREADS_MAX_P", bad,
+                    [] { run_small(EngineBackend::kThreads); });
+  test_support::ScopedEnv env("PMPS_THREADS_MAX_P", "4");
+  run_small(EngineBackend::kThreads);
+}
+
+TEST(RuntimeKnobs, CollFfAcceptsOnlyZeroOrOne) {
+  for (const char* bad : {"2", "yes", "01", ""})
+    expect_rejected("PMPS_COLL_FF", bad, [] { run_small(EngineBackend::kAuto); });
+  for (const char* good : {"0", "1"}) {
+    test_support::ScopedEnv env("PMPS_COLL_FF", good);
+    EXPECT_EQ(Engine(4, MachineParams::supermuc_like()).coll_ff_enabled(),
+              good[0] == '1');
+    run_small(EngineBackend::kAuto);
+  }
+}
+
+TEST(RuntimeKnobs, FiberGuardedStacksNeedsANonNegativeInteger) {
+  if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
+  for (const char* bad : {"-1", "lots", ""})
+    expect_rejected("PMPS_FIBER_GUARDED_STACKS", bad,
+                    [] { run_small(EngineBackend::kFibers); });
+  for (const char* good : {"0", "16"}) {
+    test_support::ScopedEnv env("PMPS_FIBER_GUARDED_STACKS", good);
+    run_small(EngineBackend::kFibers);
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "common/math.hpp"
 #include "common/random.hpp"
 #include "fastsort/fast_rank_sort.hpp"
 #include "net/engine.hpp"
@@ -17,9 +19,30 @@ using net::Comm;
 using net::Engine;
 using net::MachineParams;
 
-/// Reference: gather all tagged elements, sort, take want_ranks.
+/// Five ranks spread over `total` elements.
+std::vector<std::int64_t> five_ranks(std::int64_t total) {
+  std::vector<std::int64_t> want;
+  for (int i = 1; i <= 5; ++i) want.push_back(i * total / 6);
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  return want;
+}
+
+/// AMS's splitter ranks: the `buckets` − 1 equidistant ranks of a sample
+/// of `total` elements (ams_level's `want`).
+std::vector<std::int64_t> equidistant_ranks(std::int64_t total,
+                                            std::int64_t buckets) {
+  std::vector<std::int64_t> want;
+  for (std::int64_t j = 1; j < buckets; ++j) want.push_back(j * total / buckets);
+  return want;
+}
+
+/// Reference: gather all tagged elements, sort, take want_ranks. With
+/// `every_column`, also checks that each column of the p = 2^P grid
+/// (b = 2^⌊P/2⌋ columns) holds at least one wanted element, so that every
+/// PE of every row contributes to the row gossip.
 void check_selection(int p, std::int64_t n_per_pe, std::uint64_t value_range,
-                     std::uint64_t seed) {
+                     std::uint64_t seed, const std::vector<std::int64_t>& want,
+                     bool every_column = false) {
   // Build the global reference input.
   std::vector<std::vector<std::uint64_t>> per_pe(static_cast<std::size_t>(p));
   std::vector<TaggedKey<std::uint64_t>> all;
@@ -40,11 +63,15 @@ void check_selection(int p, std::int64_t n_per_pe, std::uint64_t value_range,
   std::sort(all.begin(), all.end(),
             [](const auto& a, const auto& b) { return a < b; });
 
-  std::vector<std::int64_t> want;
-  const std::int64_t total = p * n_per_pe;
-  for (int i = 1; i <= 5; ++i) want.push_back(i * total / 6);
-  std::sort(want.begin(), want.end());
-  want.erase(std::unique(want.begin(), want.end()), want.end());
+  if (every_column) {
+    const int b = 1 << (floor_log2(static_cast<std::uint64_t>(p)) / 2);
+    std::vector<int> per_column(static_cast<std::size_t>(b), 0);
+    for (const std::int64_t k : want)
+      ++per_column[static_cast<std::size_t>(
+          all[static_cast<std::size_t>(k)].pe % b)];
+    for (int c = 0; c < b; ++c)
+      EXPECT_GT(per_column[static_cast<std::size_t>(c)], 0) << "column " << c;
+  }
 
   Engine engine(p, MachineParams::supermuc_like(), seed);
   std::mutex mu;
@@ -69,20 +96,52 @@ void check_selection(int p, std::int64_t n_per_pe, std::uint64_t value_range,
 class FastSortP : public ::testing::TestWithParam<int> {};
 
 TEST_P(FastSortP, SelectsExactRanks) {
-  check_selection(GetParam(), 20, 1ull << 60, 1);
+  check_selection(GetParam(), 20, 1ull << 60, 1, five_ranks(GetParam() * 20));
 }
 
 TEST_P(FastSortP, SelectsExactRanksWithDuplicates) {
-  check_selection(GetParam(), 20, 7, 2);
+  check_selection(GetParam(), 20, 7, 2, five_ranks(GetParam() * 20));
 }
 
 TEST_P(FastSortP, SelectsExactRanksAllEqual) {
-  check_selection(GetParam(), 10, 1, 3);
+  check_selection(GetParam(), 10, 1, 3, five_ranks(GetParam() * 10));
 }
 
 // Powers of two take the a×b grid path; others take the gather fallback.
 INSTANTIATE_TEST_SUITE_P(GridAndFallback, FastSortP,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 9, 16, 32, 64));
+
+/// AMS's shape: b·r − 1 equidistant ranks, as many that every column of
+/// the grid finds some, for p and the bucket count b·r.
+struct AmsShape {
+  int p;
+  std::int64_t buckets;
+  std::int64_t n_per_pe;
+};
+
+class FastSortAmsShape : public ::testing::TestWithParam<AmsShape> {};
+
+TEST_P(FastSortAmsShape, SelectsEveryColumnsSplitters) {
+  const AmsShape c = GetParam();
+  const auto want = equidistant_ranks(c.p * c.n_per_pe, c.buckets);
+  check_selection(c.p, c.n_per_pe, 1ull << 60, 4, want, true);
+}
+
+TEST_P(FastSortAmsShape, SelectsEveryColumnsSplittersWithDuplicates) {
+  const AmsShape c = GetParam();
+  const auto want = equidistant_ranks(c.p * c.n_per_pe, c.buckets);
+  check_selection(c.p, c.n_per_pe, 7, 5, want, true);
+}
+
+// 255 ranks at p = 16, 1023 at p = 64 and at p = 256.
+INSTANTIATE_TEST_SUITE_P(Splitters, FastSortAmsShape,
+                         ::testing::Values(AmsShape{16, 256, 64},
+                                           AmsShape{64, 1024, 32},
+                                           AmsShape{256, 1024, 16}),
+                         [](const auto& info) {
+                           return std::string("p").append(
+                               std::to_string(info.param.p));
+                         });
 
 TEST(FastSort, UnevenLocalCounts) {
   const int p = 8;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.hpp"
@@ -184,6 +185,133 @@ TEST(RelevantRangesSearch, BalancedBucketsUseWindow) {
   const auto naive = group_buckets_naive(buckets, 8);
   EXPECT_EQ(fast.max_load, naive.max_load);
   EXPECT_LT(fast.scans, naive.scans);
+}
+
+// --- the prefix-sum scan against the bucket-by-bucket greedy -------------
+
+/// Reference: the scanning algorithm of §6 as stated, one bucket at a
+/// time.
+detail::ScanOutcome reference_scan(std::span<const std::int64_t> buckets,
+                                   int r, std::int64_t limit) {
+  detail::ScanOutcome out;
+  out.group_first.push_back(0);
+  std::int64_t load = 0;
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    const std::int64_t b = buckets[i];
+    if (b > limit) {
+      out.min_overflow = std::min(out.min_overflow, b);
+      return out;
+    }
+    if (load + b > limit) {
+      out.min_overflow = std::min(out.min_overflow, load + b);
+      out.largest_group = std::max(out.largest_group, load);
+      if (static_cast<int>(out.group_first.size()) == r) return out;
+      out.group_first.push_back(static_cast<std::int64_t>(i));
+      load = 0;
+    }
+    load += b;
+  }
+  out.largest_group = std::max(out.largest_group, load);
+  out.feasible = true;
+  while (static_cast<int>(out.group_first.size()) < r)
+    out.group_first.push_back(static_cast<std::int64_t>(buckets.size()));
+  return out;
+}
+
+/// group_buckets_optimal's search (Appendix C), run on reference_scan.
+GroupingResult reference_optimal(std::span<const std::int64_t> buckets,
+                                 int r) {
+  std::int64_t tot = 0, largest = 0;
+  for (const auto b : buckets) {
+    tot += b;
+    largest = std::max(largest, b);
+  }
+  std::int64_t lo = std::max(largest, (tot + r - 1) / r);
+  std::int64_t hi = tot;
+  GroupingResult res;
+  res.max_load = -1;
+  while (lo <= hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    auto sc = reference_scan(buckets, r, mid);
+    ++res.scans;
+    if (sc.feasible) {
+      res.max_load = sc.largest_group;
+      res.group_first = std::move(sc.group_first);
+      hi = sc.largest_group - 1;
+    } else {
+      lo = sc.min_overflow;
+    }
+  }
+  return res;
+}
+
+/// Random bucket vectors of four kinds (uniform, mostly zeros, one huge
+/// bucket, all zeros), with B from 1 to 300 and r from 1 to 64, so that
+/// B < r occurs too.
+std::vector<std::int64_t> scan_case(std::uint64_t seed, int& r) {
+  Xoshiro256 rng(seed, 99);
+  const int B = 1 + static_cast<int>(rng.bounded(300));
+  r = 1 + static_cast<int>(rng.bounded(64));
+  std::vector<std::int64_t> buckets(static_cast<std::size_t>(B), 0);
+  switch (seed % 4) {
+    case 0:
+      for (auto& b : buckets) b = static_cast<std::int64_t>(rng.bounded(1000));
+      break;
+    case 1:
+      for (auto& b : buckets)
+        b = rng.bounded(4) == 0 ? static_cast<std::int64_t>(rng.bounded(50))
+                                : 0;
+      break;
+    case 2:
+      for (auto& b : buckets) b = static_cast<std::int64_t>(rng.bounded(20));
+      buckets[rng.bounded(buckets.size())] = 100000;
+      break;
+    default:
+      break;  // all zeros
+  }
+  return buckets;
+}
+
+TEST(GroupingScan, PrefixScanMatchesBucketByBucketGreedy) {
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    int r = 0;
+    const auto buckets = scan_case(seed, r);
+    const auto prefix = detail::prefix_sums(buckets);
+    const std::int64_t tot = prefix.back();
+    const std::int64_t largest = detail::max_bucket(buckets);
+    // Limits from the largest bucket up to the total, both ends included,
+    // plus a few below the largest bucket (infeasible at once).
+    Xoshiro256 rng(seed, 7);
+    std::vector<std::int64_t> limits{largest, tot, 0, largest / 2,
+                                     std::max<std::int64_t>(largest - 1, 0)};
+    for (int i = 0; i < 40; ++i)
+      limits.push_back(largest + static_cast<std::int64_t>(rng.bounded(
+                                     static_cast<std::uint64_t>(tot - largest) + 1)));
+    for (const std::int64_t limit : limits) {
+      const auto fast = detail::scan(prefix, r, limit);
+      const auto ref = reference_scan(buckets, r, limit);
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " B=" + std::to_string(buckets.size()) +
+                                " r=" + std::to_string(r) +
+                                " limit=" + std::to_string(limit);
+      ASSERT_EQ(fast.feasible, ref.feasible) << where;
+      ASSERT_EQ(fast.group_first, ref.group_first) << where;
+      ASSERT_EQ(fast.largest_group, ref.largest_group) << where;
+      ASSERT_EQ(fast.min_overflow, ref.min_overflow) << where;
+    }
+  }
+}
+
+TEST(GroupingScan, OptimalSearchMakesTheSameScans) {
+  for (std::uint64_t seed = 0; seed < 400; ++seed) {
+    int r = 0;
+    const auto buckets = scan_case(seed, r);
+    const auto fast = group_buckets_optimal(buckets, r);
+    const auto ref = reference_optimal(buckets, r);
+    ASSERT_EQ(fast.max_load, ref.max_load) << "seed=" << seed;
+    ASSERT_EQ(fast.group_first, ref.group_first) << "seed=" << seed;
+    ASSERT_EQ(fast.scans, ref.scans) << "seed=" << seed;
+  }
 }
 
 TEST(Grouping, ScanningBoundMatchesLemma2Shape) {
