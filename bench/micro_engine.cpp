@@ -154,7 +154,7 @@ int ams_smoke(std::uint64_t seed, double max_rss_gb) {
   std::printf(
       "ams-smoke: peak stack %s MiB resident / %s MiB reserved "
       "(%lld stacks, %lld acquires, %lld reclaims), mailbox hw %lld nodes "
-      "across %d shards, %lld barrier FFs, %lld bulk exchanges\n",
+      "across %d shards, %lld collective FFs, %lld bulk exchanges\n",
       fmt_mib(es.peak_stack_bytes).c_str(),
       fmt_mib(es.stack_bytes_reserved).c_str(),
       static_cast<long long>(es.stacks),

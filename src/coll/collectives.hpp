@@ -8,6 +8,13 @@
 // (docs/DESIGN.md §13); bcast, reduce and exscan_add ship the whole vector
 // on each of their ⌈log2 p⌉ rounds.
 //
+// On a clean network barrier, bcast, the short allreduce, exscan_add and
+// sparse_exchange send no messages: the members meet in one engine
+// rendezvous, and the last to arrive replays the schedule for all of them,
+// bit-identical in virtual time, statistics and values (docs/DESIGN.md
+// §11, §14, §16). There, bcast's root and exscan_add's rank 0 wait for
+// every member, so every caller must reach them in SPMD lockstep.
+//
 // The irregular collectives are *flat-buffer* APIs, the shape real MPI
 // specifies them in (one contiguous buffer plus counts/displacements):
 // gatherv/allgatherv return a FlatParts<T> view (flat.hpp), alltoallv takes
@@ -20,15 +27,16 @@
 // docs/DESIGN.md §7).
 //
 // Provided (all SPMD-collective over the communicator):
-//   barrier                — dissemination barrier, Θ(α log p)
-//   bcast / bcast_one      — binomial tree, Θ((α + βℓ) log p)
+//   barrier                — dissemination barrier, Θ(α log p); replayed
+//   bcast / bcast_one      — binomial tree, Θ((α + βℓ) log p); replayed
 //   reduce                 — binomial tree to a root, Θ((α + βℓ) log p)
 //   allreduce / allreduce_add — elementwise on equal-length vectors, any
 //                            associative op: short vectors reduce + bcast,
-//                            Θ((α + βℓ) log p); long ones Rabenseifner's
-//                            reduce-scatter + allgather, Θ(α log p + βℓ)
+//                            Θ((α + βℓ) log p), replayed as one; long ones
+//                            Rabenseifner's reduce-scatter + allgather,
+//                            Θ(α log p + βℓ)
 //   exscan_add             — vector-valued exclusive prefix sum
-//                            (dissemination), Θ((α + βℓ) log p)
+//                            (dissemination), Θ((α + βℓ) log p); replayed
 //   *_one                  — scalar wrappers over the vector collectives,
 //                            all through the same one-element adapter
 //   gatherv / allgatherv   — binomial gather (+ broadcast) → FlatParts<T>
@@ -75,28 +83,109 @@ namespace pmps::coll {
 using net::Comm;
 
 // ---------------------------------------------------------------------------
+// fast-forward replays (docs/DESIGN.md §16)
+// ---------------------------------------------------------------------------
+//
+// Each replayed schedule below is written twice, side by side: as messages
+// and as a detail::replay_* that the last member to reach the collective's
+// rendezvous runs for every member.
+
+namespace detail {
+
+/// The last arriver's view of a fast-forwarded collective: every member's
+/// context and posted vectors by rank, and the engine's send and receive
+/// rules applied between ranks, exactly as Comm::send_bytes and
+/// Comm::recv_bytes apply them.
+class Replay {
+ public:
+  explicit Replay(const Comm& comm) : comm_(comm), engine_(comm.engine()) {}
+
+  int size() const { return comm_.size(); }
+  const net::MachineParams& machine() const { return comm_.machine(); }
+  net::PeContext& ctx(int rank) const {
+    return engine_.pe_context(comm_.member(rank));
+  }
+  net::CollScratch& scratch(int rank) const {
+    return ctx(rank).coll_scratch;
+  }
+  template <typename T>
+  std::vector<T>& out(int rank) const {
+    return *static_cast<std::vector<T>*>(scratch(rank).ff_out);
+  }
+
+  /// Charges rank `src` for a message of `bytes` to rank `dst`; returns
+  /// its arrival.
+  double send(int src, int dst, std::size_t bytes) const {
+    net::PeContext& s = ctx(src);
+    const int dst_pe = comm_.member(dst);
+    return engine_.charge_send(
+        s, comm_.machine().level_between(s.pe, dst_pe), dst_pe, bytes);
+  }
+  /// Charges rank `dst` for receiving that message.
+  void recv(int dst, int src, std::size_t bytes, double arrival) const {
+    net::PeContext& r = ctx(dst);
+    engine_.charge_recv(
+        r, comm_.machine().level_between(r.pe, comm_.member(src)), bytes,
+        arrival);
+  }
+  /// send(), for a round whose receives are charged in a second pass: the
+  /// arrival waits in the receiver's scratch (one message per receiver and
+  /// round) until posted_recv() charges it.
+  void post_send(int src, int dst, std::size_t bytes) const {
+    scratch(dst).ff_arrival = send(src, dst, bytes);
+  }
+  void posted_recv(int dst, int src, std::size_t bytes) const {
+    recv(dst, src, bytes, scratch(dst).ff_arrival);
+  }
+
+ private:
+  const Comm& comm_;
+  net::Engine& engine_;
+};
+
+/// Replay of barrier's dissemination schedule. Every member sends and
+/// receives in every round, so each round charges all sends, in rank
+/// order, then all receives. Each member's own effects keep their order
+/// (send r, receive r, send r + 1, …), every receive reads its sender's
+/// same-round arrival, and each noise stream is drawn once per round in
+/// round order — so every clock, counter and noise state ends bit for bit
+/// where the message loop leaves it.
+inline void replay_barrier(const Replay& ff) {
+  const int p = ff.size();
+  for (int step = 1; step < p; step <<= 1) {
+    for (int i = 0; i < p; ++i) ff.post_send(i, (i + step) % p, 1);
+    for (int i = 0; i < p; ++i) ff.posted_recv(i, (i - step + p) % p, 1);
+  }
+}
+
+/// Joins a rendezvous whose last arriver replays barrier; returns whether
+/// the run was aborted (RendezvousKind::kBulkClose only).
+inline bool ff_barrier(Comm& comm, net::RendezvousKind kind) {
+  return comm.rendezvous(kind, [&comm] { replay_barrier(Replay(comm)); });
+}
+
+}  // namespace detail
+
+// ---------------------------------------------------------------------------
 // barrier
 // ---------------------------------------------------------------------------
 
 /// Dissemination barrier: ⌈log2 p⌉ rounds; also synchronises virtual clocks
-/// (every PE ends no earlier than any other PE's entry time).
-///
-/// Under the default clean network the engine fast-forwards the barrier:
-/// every runnable PE reaching it is by definition blocked on the same
-/// collective, so instead of exchanging Θ(p log p) real 1-byte messages the
-/// last arriver replays all clock/stats/noise effects in one step
-/// (Comm::barrier_fast_forward, bit-identical — pinned by the hexfloat
-/// goldens). PMPS_COLL_FF=0 restores the message-by-message execution.
+/// (every PE ends no earlier than any other PE's entry time). Fast-forwarded
+/// on a clean network (detail::replay_barrier).
 inline void barrier(Comm& comm) {
   const int p = comm.size();
   if (p == 1) return;
-  if (comm.barrier_fast_forward()) return;
+  if (comm.engine().coll_ff_enabled()) {
+    detail::ff_barrier(comm, net::RendezvousKind::kReplay);
+    return;
+  }
   const std::uint64_t tag = comm.next_tag_block();
   const std::byte token{0};
   std::byte got{0};
   for (int round = 0, step = 1; step < p; ++round, step <<= 1) {
     const int dest = (comm.rank() + step) % p;
-    const int src = (comm.rank() - step % p + p) % p;
+    const int src = (comm.rank() - step + p) % p;
     comm.send<std::byte>(dest, tag + static_cast<std::uint64_t>(round),
                          std::span<const std::byte>(&token, 1));
     comm.recv_into<std::byte>(src, tag + static_cast<std::uint64_t>(round),
@@ -122,12 +211,46 @@ T one(T value, VecOp&& op) {
 // broadcast
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Replay of bcast's binomial tree from `root`, rounds from distance top/2
+/// down to 1 (top = next_pow2(p)) in virtual ranks (root = 0). A round's
+/// senders, the multiples of 2m, already hold the data and its receivers
+/// do not yet, so no member both sends and receives in one round, and each
+/// edge is charged send-then-receive. Every receiver gets the root's vector.
+template <Sortable T>
+void replay_bcast(const Replay& ff, int root) {
+  const int p = ff.size();
+  const std::vector<T>& data = ff.out<T>(root);
+  const std::size_t bytes = data.size() * sizeof(T);
+  for (int m = static_cast<int>(next_pow2(static_cast<std::uint64_t>(p)) / 2);
+       m >= 1; m /= 2) {
+    for (int v = 0; v + m < p; v += 2 * m) {
+      const int src = (v + root) % p;
+      const int dst = (v + m + root) % p;
+      ff.recv(dst, src, bytes, ff.send(src, dst, bytes));
+      ff.out<T>(dst) = data;
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Binomial-tree broadcast of `data` from `root`: Θ(α log p + βℓ log p)
-/// virtual time (each tree edge ships the whole vector).
+/// virtual time (each tree edge ships the whole vector). Fast-forwarded on
+/// a clean network (detail::replay_bcast), where the root, too, waits for
+/// every member.
 template <Sortable T>
 void bcast(Comm& comm, std::vector<T>& data, int root = 0) {
   const int p = comm.size();
   if (p == 1) return;
+  if (comm.engine().coll_ff_enabled()) {
+    comm.ctx().coll_scratch.ff_out = &data;
+    comm.rendezvous(net::RendezvousKind::kReplay, [&comm, root] {
+      detail::replay_bcast<T>(detail::Replay(comm), root);
+    });
+    return;
+  }
   const std::uint64_t tag = comm.next_tag_block();
   const int vrank = (comm.rank() - root + p) % p;  // root becomes vrank 0
 
@@ -290,18 +413,56 @@ void allreduce_long(Comm& comm, std::vector<T>& v, Op& op) {
   if (me < 2 * rem) comm.send<T>(me - 1, fold_out_tag, std::span<const T>(v));
 }
 
+/// Replay of the short allreduce: reduce's binomial tree to rank 0, then
+/// bcast's from rank 0. In reduce round k the senders are the ranks whose
+/// lowest set bit is 2^k and the receivers the multiples of 2^(k+1), so
+/// again no member both sends and receives in one round. Each receiver is
+/// charged the message and then its combine, and folds the sender's
+/// partial in on the right, in place — reduce's tree order, so a
+/// non-commutative `op` gives the message path's result.
+template <Sortable T, typename Op>
+void replay_allreduce(const Replay& ff, Op& op) {
+  const int p = ff.size();
+  const auto& machine = ff.machine();
+  for (int step = 1; step < p; step <<= 1) {
+    for (int dst = 0; dst + step < p; dst += 2 * step) {
+      const int src = dst + step;
+      std::vector<T>& acc = ff.out<T>(dst);
+      const std::vector<T>& part = ff.out<T>(src);
+      const std::size_t bytes = part.size() * sizeof(T);
+      ff.recv(dst, src, bytes, ff.send(src, dst, bytes));
+      PMPS_CHECK(part.size() == acc.size());
+      net::PeContext& r = ff.ctx(dst);  // charged as Comm::charge does
+      r.advance(machine.compare_cost_n(static_cast<std::int64_t>(acc.size())) *
+                r.dilation);
+      for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(acc[i], part[i]);
+    }
+  }
+  replay_bcast<T>(ff, 0);
+}
+
 }  // namespace detail
 
 /// Elementwise allreduce over equal-length vectors; `op` must be
 /// associative, need not be commutative, and the result is the rank-order
 /// fold on every PE. Short vectors run a binomial reduce to rank 0 and a
-/// broadcast, Θ((α + βℓ) log p); at and above the crossover
-/// (detail::allreduce_is_long) Rabenseifner's schedule, Θ(α log p + βℓ).
+/// broadcast, Θ((α + βℓ) log p) — on a clean network as one fast-forwarded
+/// rendezvous (detail::replay_allreduce), whose last arriver combines with
+/// its own `op`, so `op` must be the same function on every member. At and
+/// above the crossover (detail::allreduce_is_long) Rabenseifner's schedule,
+/// Θ(α log p + βℓ), always on messages.
 template <Sortable T, typename Op>
 std::vector<T> allreduce(Comm& comm, std::vector<T> local, Op op) {
-  if (comm.size() > 1 &&
-      detail::allreduce_is_long(comm, local.size() * sizeof(T))) {
+  if (comm.size() == 1) return local;
+  if (detail::allreduce_is_long(comm, local.size() * sizeof(T))) {
     detail::allreduce_long(comm, local, op);
+    return local;
+  }
+  if (comm.engine().coll_ff_enabled()) {
+    comm.ctx().coll_scratch.ff_out = &local;
+    comm.rendezvous(net::RendezvousKind::kReplay, [&comm, &op] {
+      detail::replay_allreduce<T>(detail::Replay(comm), op);
+    });
     return local;
   }
   auto result = reduce(comm, std::move(local), op, /*root=*/0);
@@ -332,15 +493,49 @@ inline std::int64_t allreduce_add_one(Comm& comm, std::int64_t v) {
 // exclusive prefix sums (vector-valued, addition)
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Replay of exscan_add's dissemination scan on the members' inclusive
+/// prefixes (posted as ff_out, each starting as the member's own vector).
+/// Every member may send and receive in one round, so each round charges
+/// all sends, in rank order, then all receives; the sums run from the
+/// highest rank down, so that each adds its sender's prefix from before the
+/// round, as the message carried it.
+inline void replay_exscan_add(const Replay& ff) {
+  const int p = ff.size();
+  const auto bytes = [&ff](int rank) {
+    return ff.out<std::int64_t>(rank).size() * sizeof(std::int64_t);
+  };
+  for (int step = 1; step < p; step <<= 1) {
+    for (int i = 0; i + step < p; ++i) ff.post_send(i, i + step, bytes(i));
+    for (int i = step; i < p; ++i) ff.posted_recv(i, i - step, bytes(i - step));
+    for (int i = p - 1; i >= step; --i) {
+      std::vector<std::int64_t>& incl = ff.out<std::int64_t>(i);
+      const std::vector<std::int64_t>& part = ff.out<std::int64_t>(i - step);
+      PMPS_CHECK(part.size() == incl.size());
+      for (std::size_t j = 0; j < incl.size(); ++j) incl[j] += part[j];
+    }
+  }
+}
+
+}  // namespace detail
+
 /// Dissemination (Hillis–Steele) scan: ⌈log2 p⌉ rounds of length-ℓ messages,
 /// i.e. Θ((α + βℓ) log p); the paper's vector-valued prefix sums.
-/// Returns the *exclusive* prefix (sum over ranks < rank()).
+/// Returns the *exclusive* prefix (sum over ranks < rank()). Fast-forwarded
+/// on a clean network (detail::replay_exscan_add), where rank 0, too, waits
+/// for every member.
 inline std::vector<std::int64_t> exscan_add(
     Comm& comm, const std::vector<std::int64_t>& local) {
   const int p = comm.size();
   const std::size_t len = local.size();
   std::vector<std::int64_t> incl = local;
-  if (p > 1) {
+  if (p > 1 && comm.engine().coll_ff_enabled()) {
+    comm.ctx().coll_scratch.ff_out = &incl;
+    comm.rendezvous(net::RendezvousKind::kReplay, [&comm] {
+      detail::replay_exscan_add(detail::Replay(comm));
+    });
+  } else if (p > 1) {
     const std::uint64_t tag = comm.next_tag_block();
     for (int round = 0, step = 1; step < p; ++round, step <<= 1) {
       if (comm.rank() + step < p) {
@@ -785,20 +980,34 @@ void sparse_exchange_into(Comm& comm, const SendPlan<T>& outgoing,
   net::CollScratch& scratch = comm.ctx().coll_scratch;
 
   if (comm.engine().coll_ff_enabled()) {
+    // Each piece is charged as send_bytes would charge it and stamped with
+    // its arrival; the last arriver appends every piece to its receiver's
+    // bulk_in, sources in rank order and each in plan order — the message
+    // path's receive order.
     scratch.bulk_out.clear();
-    for (int i = 0; i < outgoing.pieces(); ++i)
+    for (int i = 0; i < outgoing.pieces(); ++i) {
+      const auto piece = std::as_bytes(outgoing.piece(i));
       scratch.bulk_out.push_back(
-          {outgoing.dest(i), 0.0, std::as_bytes(outgoing.piece(i))});
-    comm.bulk_exchange();
+          {outgoing.dest(i), comm.charge_send(outgoing.dest(i), piece.size()),
+           piece});
+    }
+    comm.rendezvous(net::RendezvousKind::kBulkScatter, [&comm, p] {
+      const detail::Replay ff(comm);
+      for (int r = 0; r < p; ++r) ff.scratch(r).bulk_in.clear();
+      for (int src = 0; src < p; ++src)
+        for (const net::BulkPiece& piece : ff.scratch(src).bulk_out)
+          ff.scratch(piece.rank).bulk_in.push_back(
+              {src, piece.arrival, piece.payload});
+    });
     // From here on other PEs read this PE's plan, and this PE reads
-    // theirs, until bulk_barrier returns. So nothing may unwind before it:
-    // a sink's exception waits for the barrier (caught here, never parked
-    // on), and an abort is only reported by the barrier once every member
-    // has arrived.
+    // theirs, until the closing barrier returns. So nothing may unwind
+    // before it: a sink's exception waits for the barrier (caught here,
+    // never parked on), and an abort is only reported by the barrier once
+    // every member has arrived.
     std::exception_ptr failed;
     try {
       for (const net::BulkPiece& piece : scratch.bulk_in) {
-        comm.charge_recv(piece);
+        comm.charge_recv(piece.rank, piece.payload.size(), piece.arrival);
         sink(piece.rank,
              std::span<const T>(
                  reinterpret_cast<const T*>(piece.payload.data()),
@@ -807,7 +1016,8 @@ void sparse_exchange_into(Comm& comm, const SendPlan<T>& outgoing,
     } catch (...) {
       failed = std::current_exception();
     }
-    const bool aborted = comm.bulk_barrier();
+    const bool aborted =
+        p > 1 && detail::ff_barrier(comm, net::RendezvousKind::kBulkClose);
     if (failed) std::rethrow_exception(failed);
     if (aborted) throw net::RunAborted{};
     return;

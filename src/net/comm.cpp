@@ -40,17 +40,27 @@ Comm::Comm(Engine* engine, PeContext* ctx,
       rank_(rank),
       comm_id_(comm_id) {}
 
-void Comm::send_bytes(int dest_rank, std::uint64_t tag,
-                      std::span<const std::byte> payload) {
+double Comm::charge_send(int dest_rank, std::size_t bytes) {
   PMPS_CHECK(dest_rank >= 0 && dest_rank < size());
   const int dest_pe = member(dest_rank);
+  return engine_->charge_send(
+      *ctx_, machine().level_between(ctx_->pe, dest_pe), dest_pe, bytes);
+}
+
+void Comm::charge_recv(int src_rank, std::size_t bytes, double arrival) {
+  const int src_pe = member(src_rank);
+  engine_->charge_recv(*ctx_, machine().level_between(ctx_->pe, src_pe),
+                       bytes, arrival);
+}
+
+void Comm::send_bytes(int dest_rank, std::uint64_t tag,
+                      std::span<const std::byte> payload) {
   Message msg;
   msg.comm_id = comm_id_;
   msg.tag = tag;
   msg.src_pe = ctx_->pe;
-  msg.arrival =
-      engine_->charge_send(*ctx_, machine().level_between(ctx_->pe, dest_pe),
-                           dest_pe, payload.size_bytes());
+  msg.arrival = charge_send(dest_rank, payload.size_bytes());
+  const int dest_pe = member(dest_rank);
   msg.payload = engine_->buffer_pool(dest_pe).acquire(payload.size_bytes());
   msg.payload.assign(payload.begin(), payload.end());
   engine_->deposit_message(dest_pe, std::move(msg));
@@ -58,10 +68,9 @@ void Comm::send_bytes(int dest_rank, std::uint64_t tag,
 
 Message Comm::recv_bytes(int src_rank, std::uint64_t tag) {
   PMPS_CHECK(src_rank >= 0 && src_rank < size());
-  const int src_pe = member(src_rank);
-  Message m = engine_->retrieve_message(*ctx_, MsgKey{comm_id_, tag, src_pe});
-  engine_->charge_recv(*ctx_, machine().level_between(ctx_->pe, src_pe),
-                       m.payload.size(), m.arrival);
+  Message m = engine_->retrieve_message(
+      *ctx_, MsgKey{comm_id_, tag, member(src_rank)});
+  charge_recv(src_rank, m.payload.size(), m.arrival);
   return m;
 }
 
@@ -69,33 +78,6 @@ void Comm::release_payload(Message&& m) {
   // We are the destination: the buffer goes back to the shard the sender
   // acquired it from (buffers never migrate between shards).
   engine_->buffer_pool(ctx_->pe).release(std::move(m.payload));
-}
-
-bool Comm::barrier_fast_forward() {
-  return engine_->barrier_fast_forward(*ctx_, comm_id_, *members_);
-}
-
-void Comm::bulk_exchange() {
-  for (BulkPiece& piece : ctx_->coll_scratch.bulk_out) {
-    PMPS_CHECK(piece.rank >= 0 && piece.rank < size());
-    const int dest_pe = member(piece.rank);
-    piece.arrival =
-        engine_->charge_send(*ctx_, machine().level_between(ctx_->pe, dest_pe),
-                             dest_pe, piece.payload.size());
-  }
-  engine_->bulk_exchange(*ctx_, comm_id_, *members_);
-}
-
-void Comm::charge_recv(const BulkPiece& piece) {
-  const int src_pe = member(piece.rank);
-  engine_->charge_recv(*ctx_, machine().level_between(ctx_->pe, src_pe),
-                       piece.payload.size(), piece.arrival);
-}
-
-bool Comm::bulk_barrier() {
-  // A lone member has no reader to wait for, and coll::barrier skips it.
-  if (size() == 1) return false;
-  return engine_->bulk_barrier(*ctx_, comm_id_, *members_);
 }
 
 Comm Comm::split(int color, int key) {

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -127,31 +128,26 @@ class Comm {
                   std::span<const std::byte> payload);
   Message recv_bytes(int src_rank, std::uint64_t tag);
 
-  /// Idle-phase fast-forward for coll::barrier: rendezvous all members on
-  /// the engine's board and let the last arriver replay the barrier's
-  /// clock/stats/noise effects bit-identically in one step. Returns false
-  /// when ineligible (PMPS_COLL_FF=0 or a NetworkModel is installed) — the
-  /// caller must then run the real message-by-message barrier.
-  bool barrier_fast_forward();
+  /// Charges this PE for sending `bytes` to `dest_rank` by the engine's
+  /// send rule (Engine::charge_send) and returns the arrival time there —
+  /// what send_bytes charges, without the message.
+  double charge_send(int dest_rank, std::size_t bytes);
 
-  /// The bulk path of coll::sparse_exchange_into (docs/DESIGN.md §14;
-  /// requires engine().coll_ff_enabled()). The caller has listed its
-  /// outgoing pieces (dest rank, payload), in plan order, in
-  /// ctx().coll_scratch.bulk_out. This charges each of them exactly as
-  /// send_bytes would, stamps its arrival time and joins the engine's
-  /// rendezvous (Engine::bulk_exchange); on return coll_scratch.bulk_in
-  /// lists the pieces addressed to this PE in receive order. Every member
-  /// must then call bulk_barrier before its pieces' storage may change.
-  void bulk_exchange();
+  /// Charges this PE for receiving `bytes` from `src_rank` that arrived at
+  /// `arrival`, by the engine's receive rule (Engine::charge_recv) — what
+  /// recv_bytes charges for the same message.
+  void charge_recv(int src_rank, std::size_t bytes, double arrival);
 
-  /// Charges receiving `piece` (a bulk_in entry) exactly as recv_bytes
-  /// charges the same message.
-  void charge_recv(const BulkPiece& piece);
-
-  /// The bulk exchange's closing barrier (Engine::bulk_barrier), charged
-  /// like coll::barrier. Returns true if the run was aborted, which the
-  /// caller must answer by unwinding.
-  bool bulk_barrier();
+  /// Joins this communicator's rendezvous on the engine's fast-forward
+  /// board (Engine::rendezvous; requires engine().coll_ff_enabled()). Every
+  /// member calls it in lockstep, after posting in ctx().coll_scratch what
+  /// `on_last` reads; the last to arrive runs `on_last` while every other
+  /// member is parked. Returns whether the run was aborted (kBulkClose).
+  template <typename F>
+  bool rendezvous(RendezvousKind kind, F&& on_last) {
+    return engine_->rendezvous(*ctx_, comm_id_, size(), kind,
+                               std::forward<F>(on_last));
+  }
 
   /// Returns a consumed message's payload buffer to the engine's pool.
   /// Callers of recv_bytes should release once done with the payload; the

@@ -153,7 +153,7 @@ void Engine::prepare_run() {
   ++run_counter_;
 
   failed_.store(false, std::memory_order_relaxed);
-  ff_barriers_.store(0, std::memory_order_relaxed);
+  fast_forwards_.store(0, std::memory_order_relaxed);
   bulk_exchanges_.store(0, std::memory_order_relaxed);
   if (drain_needed_) {
     // The aborted run may have left rendezvous cells mid-generation
@@ -298,11 +298,10 @@ void Engine::abort_run(const std::string& why, double at_time, int pe) {
       fail_pe_ = pe;
     }
   }
-  // Poison the rendezvous board first: members parked in a barrier
-  // fast-forward or bulk exchange have no mailbox registration, so the
-  // mailbox poison below would never reach them. Wakes target this
-  // engine's in-flight batch only, so a service-side abort never touches
-  // sibling jobs' fibers.
+  // Poison the rendezvous board first: members parked in a rendezvous
+  // have no mailbox registration, so the mailbox poison below would never
+  // reach them. Wakes target this engine's in-flight batch only, so a
+  // service-side abort never touches sibling jobs' fibers.
   FiberBatch* b = cur_batch_.load(std::memory_order_acquire);
   {
     std::lock_guard lock(rv_mu_);
@@ -355,7 +354,6 @@ Engine::RendezvousCell& Engine::rv_cell_locked(std::uint64_t comm_id,
   if (it == rv_cells_.end()) {
     auto cell = std::make_unique<RendezvousCell>();
     cell->size = size;
-    cell->arrivals.assign(static_cast<std::size_t>(size), 0.0);
     cell->parked_pes.reserve(static_cast<std::size_t>(size));
     it = rv_cells_.emplace(comm_id, std::move(cell)).first;
   }
@@ -406,93 +404,27 @@ void Engine::rv_release_locked(RendezvousCell& cell) {
   cell.cv.notify_all();
 }
 
-void Engine::replay_barrier(const std::vector<int>& members,
-                            std::vector<double>& arrivals) {
-  // Round-major replay of coll::barrier's dissemination pattern: all
-  // round-r sends in member-rank order, then all round-r receives. Each
-  // PE's own effect order (send r, recv r, send r+1, …) and every
-  // cross-PE dependency (a receive reads its sender's same-round arrival)
-  // match the real execution, and each PE's noise stream is drawn once per
-  // round in round order — so every clock, counter and RNG state ends bit
-  // for bit where the real message exchange would have left it.
-  const int p = static_cast<int>(members.size());
-  const auto pe_of = [&](int rank) {
-    return members[static_cast<std::size_t>(rank)];
-  };
-  for (int round = 0, step = 1; step < p; ++round, step <<= 1) {
-    for (int i = 0; i < p; ++i) {
-      PeContext& s = *pes_[static_cast<std::size_t>(pe_of(i))];
-      const int dest = (i + step) % p;
-      arrivals[static_cast<std::size_t>(dest)] = charge_send(
-          s, machine_.level_between(s.pe, pe_of(dest)), pe_of(dest), 1);
-    }
-    for (int i = 0; i < p; ++i) {
-      PeContext& r = *pes_[static_cast<std::size_t>(pe_of(i))];
-      const int src = (i - step % p + p) % p;
-      charge_recv(r, machine_.level_between(r.pe, pe_of(src)), 1,
-                  arrivals[static_cast<std::size_t>(i)]);
-    }
-  }
-}
-
-bool Engine::ff_barrier(PeContext& ctx, std::uint64_t comm_id,
-                        const std::vector<int>& members, bool defer_abort) {
-  const int p = static_cast<int>(members.size());
+bool Engine::rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
+                        RendezvousKind kind, void (*on_last)(void*),
+                        void* fn) {
+  PMPS_ASSERT(coll_ff_enabled());
+  const bool defer_abort = kind == RendezvousKind::kBulkClose;
   std::unique_lock lock(rv_mu_);
-  RendezvousCell& cell = rv_cell_locked(comm_id, p);
+  RendezvousCell& cell = rv_cell_locked(comm_id, size);
   if (cell.aborted && !defer_abort) throw RunAborted{};
-  if (++cell.arrived < p) {
+  if (++cell.arrived < size) {
     rv_park(lock, cell, ctx.pe, defer_abort);
     return cell.aborted;
   }
   // Last arriver: every other member is parked (or about to park — each
-  // registered under rv_mu_ before arriving counted), so their contexts
-  // are safe to write.
-  replay_barrier(members, cell.arrivals);
-  ff_barriers_.fetch_add(1, std::memory_order_relaxed);
+  // registered under rv_mu_ before its arrival counted), so their contexts
+  // and scratch are ours. Only a deferring rendezvous gets here on an
+  // aborted run, and nobody uses its results then.
+  if (!cell.aborted) on_last(fn);
+  (kind == RendezvousKind::kBulkScatter ? bulk_exchanges_ : fast_forwards_)
+      .fetch_add(1, std::memory_order_relaxed);
   rv_release_locked(cell);
   return cell.aborted;
-}
-
-bool Engine::barrier_fast_forward(PeContext& ctx, std::uint64_t comm_id,
-                                  const std::vector<int>& members) {
-  if (!coll_ff_enabled()) return false;
-  ff_barrier(ctx, comm_id, members, /*defer_abort=*/false);
-  return true;
-}
-
-void Engine::bulk_exchange(PeContext& ctx, std::uint64_t comm_id,
-                           const std::vector<int>& members) {
-  PMPS_ASSERT(coll_ff_enabled());
-  const int p = static_cast<int>(members.size());
-  std::unique_lock lock(rv_mu_);
-  RendezvousCell& cell = rv_cell_locked(comm_id, p);
-  if (cell.aborted) throw RunAborted{};
-  if (++cell.arrived < p) {
-    rv_park(lock, cell, ctx.pe);
-    return;
-  }
-  // Last arriver: every other member is parked, so its scratch is ours to
-  // write. Walking the sources in rank order, each in plan order, appends
-  // to every receiver's list in the message path's receive order.
-  const auto scratch = [&](int rank) -> CollScratch& {
-    return pes_[static_cast<std::size_t>(
-                    members[static_cast<std::size_t>(rank)])]
-        ->coll_scratch;
-  };
-  for (int r = 0; r < p; ++r) scratch(r).bulk_in.clear();
-  for (int src = 0; src < p; ++src)
-    for (const BulkPiece& piece : scratch(src).bulk_out)
-      scratch(piece.rank).bulk_in.push_back(
-          {src, piece.arrival, piece.payload});
-  bulk_exchanges_.fetch_add(1, std::memory_order_relaxed);
-  rv_release_locked(cell);
-}
-
-bool Engine::bulk_barrier(PeContext& ctx, std::uint64_t comm_id,
-                          const std::vector<int>& members) {
-  PMPS_ASSERT(coll_ff_enabled());
-  return ff_barrier(ctx, comm_id, members, /*defer_abort=*/true);
 }
 
 double Engine::charge_send(PeContext& ctx, LinkLevel lvl, int dest_pe,
@@ -624,7 +556,7 @@ RunReport Engine::report() const {
     r.engine.stack_reclaimed_bytes = ss.reclaimed_bytes;
   }
   r.engine.collective_fast_forwards =
-      ff_barriers_.load(std::memory_order_relaxed);
+      fast_forwards_.load(std::memory_order_relaxed);
   r.engine.bulk_exchanges = bulk_exchanges_.load(std::memory_order_relaxed);
   return r;
 }

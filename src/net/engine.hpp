@@ -32,6 +32,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -53,10 +54,11 @@ enum class EngineBackend : int {
   kFibers = 2,   ///< cooperative fibers on a fixed worker pool
 };
 
-/// One piece of a bulk sparse exchange (Engine::bulk_exchange): a view of
-/// the payload in the sender's send plan plus its virtual arrival time. In
-/// a member's outgoing list `rank` is the destination rank; in its incoming
-/// list, the source rank.
+/// One piece of a bulk sparse exchange (coll::sparse_exchange_into on a
+/// clean network, docs/DESIGN.md §14): a view of the payload in the
+/// sender's send plan plus its virtual arrival time. In a member's outgoing
+/// list `rank` is the destination rank; in its incoming list, the source
+/// rank.
 struct BulkPiece {
   int rank = 0;
   double arrival = 0;
@@ -69,13 +71,27 @@ struct BulkPiece {
 /// counts_* / seq_per_dest vectors (Θ(p) each) and Bruck working arrays
 /// back the message path of sparse_exchange_into; the bulk_* lists (sized
 /// by pieces, not p) back its bulk path — at p = 2^15 three Θ(p) vectors
-/// per PE alone would cost ~25 GB host RAM. The collectives never nest
-/// within one PE, so distinct fields are never aliased by a live use.
+/// per PE alone would cost ~25 GB host RAM. The ff_* fields are what a
+/// member posts for a fast-forwarded collective's replay (docs/DESIGN.md
+/// §16). The collectives never nest within one PE, so distinct fields are
+/// never aliased by a live use.
 struct CollScratch {
   std::vector<std::int64_t> counts_out, counts_in, seq_per_dest;
   std::vector<std::int32_t> bruck_tmp, bruck_block, bruck_in;
   std::vector<BulkPiece> bulk_out;  ///< own pieces, plan order
   std::vector<BulkPiece> bulk_in;   ///< pieces to this PE, receive order
+  void* ff_out = nullptr;  ///< replay: this member's std::vector<T>, in/out
+  double ff_arrival = 0;   ///< replay: arrival of this round's message
+};
+
+/// What a rendezvous on the fast-forward board stands for
+/// (Engine::rendezvous): it picks the counter the rendezvous bumps, and
+/// whether an abort waits until every member has arrived.
+enum class RendezvousKind {
+  kReplay,       ///< a replayed collective (collective_fast_forwards)
+  kBulkScatter,  ///< a bulk sparse exchange's scatter (bulk_exchanges)
+  kBulkClose,    ///< the bulk exchange's closing barrier, a replay whose
+                 ///< abort is deferred until every member has arrived
 };
 
 /// All mutable per-PE state. Owned by the engine, accessed only by the
@@ -268,7 +284,7 @@ class Engine {
     return world_members_;
   }
 
-  /// True when the collectives may fast-forward (barrier replay, bulk
+  /// True when the collectives may fast-forward (replays and the bulk
   /// sparse exchange): the default on a clean network. A NetworkModel
   /// (fault injection must see real messages) or PMPS_COLL_FF=0 (for
   /// differential testing) restores the message-by-message execution.
@@ -283,8 +299,8 @@ class Engine {
   /// by the run's congestion factor, and is counted; on a clean network
   /// it arrives when the sender finishes, and under a NetworkModel it goes
   /// through the model's protocol (which may abort the run and throw
-  /// NetworkError). Comm::send_bytes, the barrier replay and the bulk
-  /// sparse exchange all charge through here.
+  /// NetworkError). Messages, replays and the bulk sparse exchange all
+  /// charge through here.
   double charge_send(PeContext& ctx, LinkLevel lvl, int dest_pe,
                      std::size_t bytes);
 
@@ -295,34 +311,25 @@ class Engine {
   void charge_recv(PeContext& ctx, LinkLevel lvl, std::size_t bytes,
                    double arrival) const;
 
-  /// Idle-phase fast-forward of a dissemination barrier: when eligible
-  /// (coll_ff_enabled()), members rendezvous on the cell keyed by
-  /// `comm_id`; the last arriver replays the whole barrier's clock /
-  /// stats / noise-RNG effects round-major — bit-identically to the real
-  /// message exchange — and releases everyone in one step. Returns false
-  /// (caller must run the real barrier) when ineligible.
-  bool barrier_fast_forward(PeContext& ctx, std::uint64_t comm_id,
-                            const std::vector<int>& members);
-
-  /// The rendezvous of coll::sparse_exchange_into's bulk path (requires
-  /// coll_ff_enabled(); docs/DESIGN.md §14). Every member has put its
-  /// outgoing pieces, charged with charge_send, in its CollScratch::
-  /// bulk_out; the last to arrive scatters them into every member's
-  /// bulk_in, ordered by source rank and then send order, and releases
-  /// all members at once. Throws RunAborted if the run was aborted before
-  /// the scatter. After it, a member's bulk_in views the other members'
-  /// send plans, which must stay alive until every member has returned
-  /// from bulk_barrier.
-  void bulk_exchange(PeContext& ctx, std::uint64_t comm_id,
-                     const std::vector<int>& members);
-
-  /// The bulk exchange's closing (NBX termination) barrier: the
-  /// fast-forwarded barrier, except that an abort releases no member
-  /// before every member has arrived, so no member can free a send plan
-  /// that another still reads. Returns true if the run was aborted; the
-  /// caller must then unwind.
-  bool bulk_barrier(PeContext& ctx, std::uint64_t comm_id,
-                    const std::vector<int>& members);
+  /// The fast-forward board's one primitive (requires coll_ff_enabled();
+  /// docs/DESIGN.md §11, §14, §16). The `size` members of communicator
+  /// `comm_id` arrive on its cell; every one but the last parks, and the
+  /// last runs `on_last` while all others are parked — so it may read and
+  /// write their contexts and CollScratch — then releases them together.
+  /// An abort before the release throws RunAborted at once, except under
+  /// kBulkClose, where it releases no member before every member has
+  /// arrived and then skips `on_last`. A member released before an abort
+  /// returns normally. Returns whether the run was aborted when this
+  /// member left, which only kBulkClose callers need.
+  template <typename F>
+  bool rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
+                  RendezvousKind kind, F&& on_last) {
+    using Fn = std::remove_reference_t<F>;
+    return rendezvous(
+        ctx, comm_id, size, kind,
+        [](void* fn) { (*static_cast<Fn*>(fn))(); },
+        const_cast<void*>(static_cast<const void*>(&on_last)));
+  }
 
   /// Aborts the current run with a per-run error: records `why`, poisons
   /// every mailbox so blocked PEs unwind (RunAborted) instead of waiting
@@ -346,18 +353,21 @@ class Engine {
 
  private:
   /// One rendezvous cell of the fast-forward board, keyed by communicator
-  /// id (comm ids are deterministic, so cells persist across runs). Serves
-  /// both barrier replays and bulk exchanges — SPMD lockstep guarantees the
-  /// members never mix the two within one generation. Guarded by rv_mu_.
+  /// id (comm ids are deterministic, so cells persist across runs). SPMD
+  /// lockstep guarantees the members never mix two collectives within one
+  /// generation. Guarded by rv_mu_.
   struct RendezvousCell {
     int size = 0;              ///< communicator size (fixed at creation)
     int arrived = 0;           ///< members arrived this generation
     std::uint64_t gen = 0;     ///< bumped on release; parked members wait on it
     bool aborted = false;      ///< run aborted: see rv_park
-    std::vector<double> arrivals;    ///< barrier replay: per-dest arrival time
     std::vector<int> parked_pes;     ///< global PE ids parked (fiber backend)
     std::condition_variable cv;      ///< thread backend park (waits on rv_mu_)
   };
+
+  /// The type-erased core of rendezvous().
+  bool rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
+                  RendezvousKind kind, void (*on_last)(void*), void* fn);
 
   /// Finds or creates the cell for `comm_id` (rv_mu_ held). Creation is
   /// cold — once per communicator; warm rendezvous only look up.
@@ -369,13 +379,7 @@ class Engine {
   /// once, or, with `defer_abort`, keeps the member parked until the
   /// release.
   void rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
-               int pe, bool defer_abort = false);
-
-  /// The fast-forwarded barrier behind barrier_fast_forward and
-  /// bulk_barrier (rv_park's `defer_abort`). Returns whether the run was
-  /// aborted when this member left.
-  bool ff_barrier(PeContext& ctx, std::uint64_t comm_id,
-                  const std::vector<int>& members, bool defer_abort);
+               int pe, bool defer_abort);
 
   /// charge_send under an installed NetworkModel (jitter-only, or the full
   /// ack/retransmit protocol when the model is lossy): advances the
@@ -388,12 +392,6 @@ class Engine {
   /// Releases a completed generation: bumps gen, wakes every parked member
   /// (rv_mu_ held).
   void rv_release_locked(RendezvousCell& cell);
-
-  /// Round-major replay of the dissemination barrier over `members` —
-  /// performed by the last arriver on behalf of all members (who are all
-  /// parked, so their contexts are safe to write).
-  void replay_barrier(const std::vector<int>& members,
-                      std::vector<double>& arrivals);
 
   /// Per-run reset of clocks/stats/abort state shared by run() and
   /// start_run(); draws the run's congestion factor.
@@ -433,7 +431,7 @@ class Engine {
   // --- fast-forward board ---------------------------------------------------
   std::mutex rv_mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<RendezvousCell>> rv_cells_;
-  std::atomic<std::int64_t> ff_barriers_{0};
+  std::atomic<std::int64_t> fast_forwards_{0};
   std::atomic<std::int64_t> bulk_exchanges_{0};
   // --- abort state (lossy NetworkModel runs only) --------------------------
   std::atomic<bool> failed_{false};

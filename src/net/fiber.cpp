@@ -2,13 +2,6 @@
 
 #if PMPS_HAS_FIBERS
 
-#if defined(__ELF__) && (defined(__x86_64__) || defined(__aarch64__))
-#define PMPS_FIBER_ASM_CTX 1
-#else
-#define PMPS_FIBER_ASM_CTX 0
-#include <ucontext.h>
-#endif
-
 #include <unistd.h>
 
 #include <sys/mman.h>
@@ -31,17 +24,15 @@
 // ---------------------------------------------------------------------------
 // Context switching.
 //
-// The hot operation of the whole engine is parking/resuming a fiber, so on
-// the common ELF targets we use a hand-rolled switch: save the callee-saved
-// registers on the suspending stack, swap stack pointers, restore, return.
-// ~20 instructions and no kernel involvement. ucontext's swapcontext does
-// the same plus a sigprocmask *system call* per switch (it preserves the
-// signal mask), which multiplies into milliseconds per simulated run at
-// large p — measured ~4× worse end-to-end at p = 256. Other platforms fall
-// back to ucontext behind the same three primitives.
+// The hot operation of the whole engine is parking/resuming a fiber, so it
+// uses a hand-rolled switch: save the callee-saved registers on the
+// suspending stack, swap stack pointers, restore, return. ~20 instructions
+// and no kernel involvement. ucontext's swapcontext does the same plus a
+// sigprocmask *system call* per switch (it preserves the signal mask),
+// which multiplied into milliseconds per simulated run at large p —
+// measured ~4× worse end-to-end at p = 256. Platforms without this switch
+// (see PMPS_HAS_FIBERS) get the thread backend.
 // ---------------------------------------------------------------------------
-
-#if PMPS_FIBER_ASM_CTX
 
 extern "C" {
 /// Saves the callee-saved state on the current stack, stores the suspended
@@ -184,8 +175,6 @@ void* ctx_make(char* stack, std::size_t size, void (*fn)(void*), void* arg) {
 }  // namespace
 #endif  // architecture
 
-#endif  // PMPS_FIBER_ASM_CTX
-
 namespace pmps::net {
 
 bool fibers_supported() { return true; }
@@ -208,11 +197,10 @@ std::size_t page_size() {
 
 }  // namespace
 
-/// One fiber's execution context behind the asm/ucontext split: prepare() a
-/// fresh entry into fn(arg); resume() from a worker (returns when the fiber
-/// suspends or finishes); suspend() from inside the fiber.
+/// One fiber's execution context: prepare() a fresh entry into fn(arg);
+/// resume() from a worker (returns when the fiber suspends or finishes);
+/// suspend() from inside the fiber.
 struct FiberContext {
-#if PMPS_FIBER_ASM_CTX
   void* sp = nullptr;       ///< suspended fiber's stack pointer
   void** resume_slot = nullptr;  ///< where the resuming worker parked itself
 
@@ -225,47 +213,6 @@ struct FiberContext {
     pmps_ctx_switch(&worker_sp, sp);
   }
   void suspend() { pmps_ctx_switch(&sp, *resume_slot); }
-#else
-  ucontext_t ctx{};
-  ucontext_t* resume_ctx = nullptr;
-  void (*entry_fn)(void*) = nullptr;
-  void* entry_arg = nullptr;
-
-  void prepare(char* stack, std::size_t size, void (*fn)(void*), void* arg) {
-    entry_fn = fn;
-    entry_arg = arg;
-    PMPS_CHECK(getcontext(&ctx) == 0);
-    ctx.uc_stack.ss_sp = stack;
-    ctx.uc_stack.ss_size = size;
-    ctx.uc_link = nullptr;
-    const auto addr = reinterpret_cast<std::uintptr_t>(this);
-    // makecontext's variadic entry takes ints; the 64-bit pointer travels as
-    // two 32-bit halves. The function-pointer cast is the documented
-    // makecontext calling convention.
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wcast-function-type"
-#endif
-    makecontext(&ctx, reinterpret_cast<void (*)()>(&FiberContext::trampoline),
-                2, static_cast<unsigned int>(addr >> 32),
-                static_cast<unsigned int>(addr & 0xffffffffu));
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-  }
-  static void trampoline(unsigned int hi, unsigned int lo) {
-    auto* self = reinterpret_cast<FiberContext*>(
-        (static_cast<std::uintptr_t>(hi) << 32) |
-        static_cast<std::uintptr_t>(lo));
-    self->entry_fn(self->entry_arg);
-  }
-  void resume() {
-    ucontext_t here;
-    resume_ctx = &here;
-    swapcontext(&here, &ctx);
-  }
-  void suspend() { swapcontext(&ctx, resume_ctx); }
-#endif
 };
 
 namespace {
@@ -567,8 +514,6 @@ FiberStackStats FiberPool::stack_stats() const {
   return impl_->stack_pool.stats();
 }
 
-bool FiberPool::reclaim_supported() { return PMPS_FIBER_ASM_CTX != 0; }
-
 void FiberPool::prepare_block(bool long_wait) {
   Fiber* f = tl_current_fiber;
   PMPS_CHECK_MSG(f != nullptr, "prepare_block outside a fiber");
@@ -688,7 +633,6 @@ void FiberPool::worker_main(int shard) {
       }
       if (complete) complete();
     } else {
-#if PMPS_FIBER_ASM_CTX
       impl_->stack_pool.note_touch(f->stack, f->ctx.sp);
       // Long-lived collective park: return the cold stack span to the
       // kernel. This must happen while the state is still kBlocking — a
@@ -697,7 +641,6 @@ void FiberPool::worker_main(int shard) {
       // the fiber is about to run again.)
       if (f->long_wait && f->state.load(std::memory_order_acquire) == kBlocking)
         impl_->stack_pool.reclaim(f->stack, f->ctx.sp);
-#endif
       f->long_wait = false;
       int expected = kBlocking;
       if (!f->state.compare_exchange_strong(expected, kBlocked,

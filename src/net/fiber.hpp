@@ -8,9 +8,10 @@
 // thread-creation and wakeup-storm costs capped every bench at p ≤ 256, and
 // lets a single host simulate paper-scale PE counts (p ≥ 4096, cf. §7.3).
 //
-// Context switching uses ucontext (POSIX); on platforms without it the
-// engine falls back to the legacy thread-per-PE backend behind the same
-// interface (see fibers_supported() and PMPS_ENGINE in engine.hpp).
+// Context switching is a hand-rolled register swap for ELF x86-64 and
+// AArch64; on every other platform the engine falls back to the legacy
+// thread-per-PE backend behind the same interface (see fibers_supported()
+// and PMPS_ENGINE in engine.hpp).
 //
 // Blocking protocol (the part that makes wakeups race-free):
 //   1. The fiber, holding its mailbox lock, registers the key it waits for
@@ -30,11 +31,10 @@
 #include <functional>
 #include <memory>
 
-// Fibers are available where we have a hand-rolled context switch (ELF
-// x86-64 / AArch64) or a usable <ucontext.h> (other unices — but not macOS,
-// whose SDK deprecated ucontext away; it gets the thread backend instead).
-#if (defined(__ELF__) && (defined(__x86_64__) || defined(__aarch64__))) || \
-    (defined(__unix__) && !defined(__APPLE__))
+// Fibers are available where we have the hand-rolled context switch: ELF
+// x86-64 and AArch64. Other platforms, macOS among them, get the thread
+// backend.
+#if defined(__ELF__) && (defined(__x86_64__) || defined(__aarch64__))
 #define PMPS_HAS_FIBERS 1
 #else
 #define PMPS_HAS_FIBERS 0
@@ -174,11 +174,6 @@ class FiberPool {
   /// Snapshot of the stack pool's memory accounting.
   FiberStackStats stack_stats() const;
 
-  /// True when the long-wait madvise reclaim is available (hand-rolled
-  /// context switch only: the ucontext fallback cannot expose the parked
-  /// stack pointer portably, so it skips reclaim).
-  static bool reclaim_supported();
-
   struct Fiber;  ///< implementation detail (fiber.cpp); opaque to callers
 
  private:
@@ -221,7 +216,6 @@ class FiberPool {
   static void block_current() {}
   int num_workers() const { return 0; }
   FiberStackStats stack_stats() const { return {}; }
-  static bool reclaim_supported() { return false; }
 };
 
 #endif  // PMPS_HAS_FIBERS

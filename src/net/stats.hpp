@@ -80,7 +80,9 @@ struct EngineStats {
   int mailbox_shards = 0;  ///< slab/pool shards (1 on the thread backend)
   std::int64_t mailbox_node_high_water = 0;  ///< max per-shard node peak
   std::int64_t mailbox_nodes_total_high_water = 0;  ///< summed shard peaks
-  std::int64_t collective_fast_forwards = 0;  ///< barrier replays (last run)
+  /// Replayed collectives — barriers, bcasts, short allreduces, exscans
+  /// and bulk exchanges' closing barriers (last run).
+  std::int64_t collective_fast_forwards = 0;
   std::int64_t bulk_exchanges = 0;  ///< bulk-path sparse exchanges (last run)
 };
 

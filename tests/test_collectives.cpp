@@ -12,6 +12,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "common/random.hpp"
 #include "net/engine.hpp"
 #include "net/network_model.hpp"
+#include "select/multiselect.hpp"
 #include "test_backends.hpp"
 
 namespace pmps::coll {
@@ -697,16 +699,47 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FlatVsP2P,
 // bulk sparse exchange: bit-identical to the message path, safe on abort
 // ---------------------------------------------------------------------------
 
-/// Everything a sparse exchange leaves behind on one PE.
+/// Everything a run of collectives leaves behind on one PE.
 struct PeOutcome {
   std::uint64_t clock_bits = 0;
   std::array<std::uint64_t, net::kNumPhases> phase_bits{};
+  std::array<std::int64_t, net::kNumPhases> phase_sent{};
   std::int64_t sent = 0, received = 0, bytes_sent = 0, bytes_received = 0;
   std::uint64_t next_noise = 0;
-  std::vector<std::uint64_t> got;  ///< per piece: round, src, size, payload
+  std::vector<std::uint64_t> got;  ///< values the program recorded
 
   bool operator==(const PeOutcome&) const = default;
 };
+
+/// Fills every PE's outcome, but `got`, from the engine after a run.
+void capture(const Engine& engine, std::vector<PeOutcome>& out) {
+  for (int pe = 0; pe < engine.num_pes(); ++pe) {
+    const net::PeContext& ctx = engine.pe_context(pe);
+    PeOutcome& o = out[static_cast<std::size_t>(pe)];
+    o.clock_bits = std::bit_cast<std::uint64_t>(ctx.clock);
+    for (int ph = 0; ph < net::kNumPhases; ++ph) {
+      o.phase_bits[static_cast<std::size_t>(ph)] =
+          std::bit_cast<std::uint64_t>(ctx.stats.phase_time[ph]);
+      o.phase_sent[static_cast<std::size_t>(ph)] =
+          ctx.stats.phase_messages_sent[ph];
+    }
+    o.sent = ctx.stats.messages_sent;
+    o.received = ctx.stats.messages_received;
+    o.bytes_sent = ctx.stats.bytes_sent;
+    o.bytes_received = ctx.stats.bytes_received;
+    Xoshiro256 noise = ctx.noise_rng;
+    o.next_noise = noise();
+  }
+}
+
+/// supermuc_like() with jitter on every message and a congested run, so
+/// that every replayed charge draws noise.
+MachineParams noisy_machine() {
+  MachineParams machine = MachineParams::supermuc_like();
+  machine.comm_noise_frac = 0.3;
+  machine.congestion_noise_frac = 0.2;
+  return machine;
+}
 
 /// Five exchanges of seeded random plans, two of them on a split
 /// communicator, with seeded compute between them so that receivers both
@@ -758,30 +791,14 @@ std::vector<PeOutcome> run_random_exchanges(int p, const Backend& backend,
   ScopedEnv workers("PMPS_FIBER_WORKERS",
                     std::to_string(backend.workers).c_str());
   ScopedEnv ff("PMPS_COLL_FF", fast_forward ? "1" : "0");
-  MachineParams machine = MachineParams::supermuc_like();
-  machine.comm_noise_frac = 0.3;
-  machine.congestion_noise_frac = 0.2;
-  Engine engine(p, machine, 17, backend.kind);
+  Engine engine(p, noisy_machine(), 17, backend.kind);
   std::vector<PeOutcome> out(static_cast<std::size_t>(p));
   engine.run([&](Comm& comm) { random_exchanges(comm, out); });
   // Three exchanges on the world, two on each half.
   EXPECT_EQ(engine.report().engine.bulk_exchanges,
             fast_forward ? 3 + 2 * std::min(p, 2) : 0)
       << describe(backend, p);
-  for (int pe = 0; pe < p; ++pe) {
-    const net::PeContext& ctx = engine.pe_context(pe);
-    PeOutcome& o = out[static_cast<std::size_t>(pe)];
-    o.clock_bits = std::bit_cast<std::uint64_t>(ctx.clock);
-    for (int ph = 0; ph < net::kNumPhases; ++ph)
-      o.phase_bits[static_cast<std::size_t>(ph)] =
-          std::bit_cast<std::uint64_t>(ctx.stats.phase_time[ph]);
-    o.sent = ctx.stats.messages_sent;
-    o.received = ctx.stats.messages_received;
-    o.bytes_sent = ctx.stats.bytes_sent;
-    o.bytes_received = ctx.stats.bytes_received;
-    Xoshiro256 noise = ctx.noise_rng;
-    o.next_noise = noise();
-  }
+  capture(engine, out);
   return out;
 }
 
@@ -880,6 +897,233 @@ TEST(SparseExchange, BulkAbortKeepsPlansUntilReadersFinish) {
     EXPECT_NO_THROW(engine.run(program(false))) << describe(backend, kP);
     EXPECT_EQ(reads.load(), kP * kP) << describe(backend, kP);
     EXPECT_EQ(wrong.load(), 0) << describe(backend, kP);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// fast-forwarded short collectives: bit-identical to messages, safe on abort
+// ---------------------------------------------------------------------------
+
+/// The longest vector of `T` that `allreduce` still sends on the short
+/// schedule over `comm` (1 where every length is long, i.e. p = 1).
+template <typename T>
+std::size_t short_allreduce_max(const Comm& comm) {
+  std::size_t len = 1;
+  while (!detail::allreduce_is_long(comm, (len + 1) * sizeof(T))) ++len;
+  return len;
+}
+
+/// Replays taken by replayed_collectives on one communicator of size q.
+std::int64_t replays_on(int q) { return q >= 2 ? q + 15 : 0; }
+
+/// Every fast-forwarded collective on `comm`, with seeded compute and phase
+/// changes between them, so that receivers both wait for arrivals and
+/// drain late ones: bcast from every root, the short allreduce with a sum,
+/// a floating-point sum (its bits depend on the fold's tree), an affine
+/// composition and multiselect's pick_slot (both non-commutative), and
+/// exscan_add, each at lengths 1, 8 and the longest short vector. Appends
+/// every result to `got`. Takes q + 15 replays on q ≥ 2 members.
+void replayed_collectives(Comm& comm, Xoshiro256& rng,
+                          std::vector<std::uint64_t>& got) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  int step = 0;
+  const auto jitter = [&] {
+    comm.set_phase(++step % 3 == 0 ? net::Phase::kSplitterSelection
+                                   : net::Phase::kOther);
+    comm.charge(4e-6 * rng.uniform());
+  };
+  const auto record = [&got](const auto& v, auto word) {
+    got.push_back(v.size());
+    for (const auto& x : v) word(x);
+  };
+  const auto u64 = [&got](std::uint64_t x) { got.push_back(x); };
+
+  for (int root = 0; root < p; ++root) {
+    jitter();
+    // A receiver's own vector, of any length, is replaced by the root's.
+    std::vector<std::uint64_t> v(rng() % 4);
+    if (me == root) {
+      v.resize(1 + static_cast<std::size_t>(root) % 6);
+      for (auto& x : v) x = rng();
+    }
+    bcast(comm, v, root);
+    record(v, u64);
+  }
+  using Slot64 = select::detail::PivotSlot<std::uint64_t>;
+  for (int k = 0; k < 3; ++k) {
+    const auto len_of = [&comm, k](auto elem) {
+      return k == 0 ? std::size_t{1}
+                    : k == 1 ? std::size_t{8}
+                             : short_allreduce_max<decltype(elem)>(comm);
+    };
+    jitter();
+    std::vector<std::int64_t> sum(len_of(std::int64_t{}));
+    for (auto& x : sum) x = static_cast<std::int64_t>(rng() % 1000);
+    record(allreduce_add(comm, std::move(sum)),
+           [&](std::int64_t x) { u64(static_cast<std::uint64_t>(x)); });
+
+    jitter();
+    std::vector<double> fsum(len_of(double{}));
+    for (auto& x : fsum) x = rng.uniform() * 1e6 - 5e5;
+    record(allreduce(comm, std::move(fsum), std::plus<double>{}),
+           [&](double x) { u64(std::bit_cast<std::uint64_t>(x)); });
+
+    jitter();
+    std::vector<Affine> maps(len_of(Affine{}));
+    for (std::size_t i = 0; i < maps.size(); ++i)
+      maps[i] = affine_input(me + 1000 * step, i);
+    record(allreduce(comm, std::move(maps), then), [&](const Affine& f) {
+      u64(f.a);
+      u64(f.b);
+    });
+
+    jitter();
+    std::vector<Slot64> slots(len_of(Slot64{}));
+    for (auto& slot : slots) {
+      slot.has = rng() % 4 == 0 ? 1 : 0;
+      slot.value = rng();
+    }
+    record(allreduce(comm, std::move(slots),
+                     select::detail::pick_slot<std::uint64_t>),
+           [&](const Slot64& slot) {
+             u64(slot.has);
+             u64(slot.value);
+           });
+
+    jitter();
+    std::vector<std::int64_t> scan(len_of(std::int64_t{}));
+    for (auto& x : scan) x = static_cast<std::int64_t>(rng() % 1000);
+    record(exscan_add(comm, scan),
+           [&](std::int64_t x) { u64(static_cast<std::uint64_t>(x)); });
+  }
+}
+
+/// replayed_collectives on the world, on a split_strided slice (one parity
+/// class) and on a split(color, key) whose keys permute the members, at p
+/// on `backend`, with fast-forward on or off.
+std::vector<PeOutcome> run_replayed_collectives(int p, const Backend& backend,
+                                                bool fast_forward) {
+  ScopedEnv workers("PMPS_FIBER_WORKERS",
+                    std::to_string(backend.workers).c_str());
+  ScopedEnv ff("PMPS_COLL_FF", fast_forward ? "1" : "0");
+  Engine engine(p, noisy_machine(), 23, backend.kind);
+  std::vector<PeOutcome> out(static_cast<std::size_t>(p));
+  engine.run([&](Comm& world) {
+    const int me = world.rank();
+    Xoshiro256 rng(99, static_cast<std::uint64_t>(me));
+    std::vector<std::uint64_t>& got = out[static_cast<std::size_t>(me)].got;
+    replayed_collectives(world, rng, got);
+    Comm strided = world.split_strided(me % 2, 2, (p - me % 2 + 1) / 2);
+    replayed_collectives(strided, rng, got);
+    Comm permuted = world.split(me % 3, (me * 7 + 3) % (p + 1));
+    replayed_collectives(permuted, rng, got);
+  });
+  std::int64_t replays = replays_on(p) + replays_on((p + 1) / 2) +
+                         replays_on(p / 2);
+  for (int color = 0; color < 3; ++color)
+    replays += replays_on((p - color + 2) / 3);
+  EXPECT_EQ(engine.report().engine.collective_fast_forwards,
+            fast_forward ? replays : 0)
+      << describe(backend, p);
+  capture(engine, out);
+  return out;
+}
+
+TEST(FastForward, ReplaysMatchMessagePath) {
+  for (const Backend& backend : backends({1, 3})) {
+    for (const int p : {1, 2, 3, 5, 7, 64, 100}) {
+      const auto replayed = run_replayed_collectives(p, backend, true);
+      const auto messages = run_replayed_collectives(p, backend, false);
+      for (int pe = 0; pe < p; ++pe) {
+        const auto& r = replayed[static_cast<std::size_t>(pe)];
+        const auto& m = messages[static_cast<std::size_t>(pe)];
+        EXPECT_FALSE(r.got.empty());
+        EXPECT_TRUE(r == m) << describe(backend, p) << " pe=" << pe;
+      }
+    }
+  }
+}
+
+TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
+  // Every PE but the last enters a fast-forwarded allreduce (or exscan) and
+  // parks; the last waits on a message nobody sends. The host then aborts
+  // the run, which wakes the parked members and the waiter. The waiter
+  // enters the collective after the abort, so it is the last arriver: it
+  // must throw RunAborted instead of replaying over the vectors of members
+  // that have already unwound. No replay may run — no combine, no charge.
+  constexpr int kP = 8;
+  for (const Backend& backend : backends({1, 3})) {
+    ScopedEnv workers("PMPS_FIBER_WORKERS",
+                      std::to_string(backend.workers).c_str());
+    for (const bool scan : {false, true}) {
+      const std::string what =
+          describe(backend, kP) + (scan ? " exscan" : " allreduce");
+      Engine engine(kP, noisy_machine(), 31, backend.kind);
+      std::atomic<int> parking{0}, unwound{0}, returned{0}, combines{0};
+      std::array<double, kP> entry_clock{};
+      const auto program = [&](Comm& comm) {
+        if (comm.rank() == kP - 1) {
+          try {
+            comm.recv_bytes(0, comm.next_tag_block());
+          } catch (const net::RunAborted&) {
+          }
+        }
+        comm.charge(1e-6 * (comm.rank() + 1));
+        entry_clock[static_cast<std::size_t>(comm.rank())] = comm.now();
+        std::vector<std::int64_t> v(16, comm.rank());
+        try {
+          parking.fetch_add(1);
+          if (scan) {
+            v = exscan_add(comm, v);
+          } else {
+            v = allreduce(comm, std::move(v),
+                          [&](std::int64_t a, std::int64_t b) {
+                            combines.fetch_add(1);
+                            return a - b;
+                          });
+          }
+        } catch (const net::RunAborted&) {
+          unwound.fetch_add(1);
+          throw;
+        }
+        returned.fetch_add(1);
+      };
+      std::thread host([&] {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (parking.load() < kP - 1 &&
+               std::chrono::steady_clock::now() < until)
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        engine.abort_run("aborted by the host");
+      });
+      EXPECT_THROW(engine.run(program), net::NetworkError) << what;
+      host.join();
+      EXPECT_EQ(unwound.load(), kP) << what;
+      EXPECT_EQ(returned.load(), 0) << what;
+      EXPECT_EQ(combines.load(), 0) << what;
+      EXPECT_EQ(engine.report().engine.collective_fast_forwards, 0) << what;
+      for (int pe = 0; pe < kP; ++pe)
+        EXPECT_EQ(engine.pe_context(pe).clock,
+                  entry_clock[static_cast<std::size_t>(pe)])
+            << what << " pe=" << pe;
+
+      // The engine's next run matches a fresh engine's, bit for bit.
+      const auto clean_run = [](Engine& e) {
+        std::vector<PeOutcome> out(kP);
+        e.run([&](Comm& comm) {
+          Xoshiro256 rng(5, static_cast<std::uint64_t>(comm.rank()));
+          replayed_collectives(comm, rng,
+                               out[static_cast<std::size_t>(comm.rank())].got);
+          barrier(comm);
+        });
+        capture(e, out);
+        return out;
+      };
+      Engine fresh(kP, noisy_machine(), 31, backend.kind);
+      EXPECT_TRUE(clean_run(engine) == clean_run(fresh)) << what;
+    }
   }
 }
 

@@ -491,6 +491,12 @@ TEST(Engine, EngineStatsReportMemoryAndFastForwardCounters) {
   Engine engine(64, MachineParams::supermuc_like(), /*seed=*/1,
                 EngineBackend::kFibers);
   engine.run([&](Comm& comm) {
+    // A ring shift puts messages through the mailboxes; the allreduce and
+    // the barrier are replayed without any.
+    const std::uint64_t tag = comm.next_tag_block();
+    comm.send_one<int>((comm.rank() + 1) % 64, tag, comm.rank());
+    EXPECT_EQ(comm.recv_one<int>((comm.rank() + 63) % 64, tag),
+              (comm.rank() + 63) % 64);
     const auto v = coll::allreduce_add_one(comm, 1);
     EXPECT_EQ(v, 64);
     coll::barrier(comm);
@@ -501,7 +507,7 @@ TEST(Engine, EngineStatsReportMemoryAndFastForwardCounters) {
   EXPECT_GE(es.mailbox_nodes_total_high_water, es.mailbox_node_high_water);
   EXPECT_GT(es.peak_stack_bytes, 0);
   EXPECT_GT(es.stack_bytes_reserved, 0);
-  EXPECT_EQ(es.collective_fast_forwards, 1);  // the one barrier
+  EXPECT_EQ(es.collective_fast_forwards, 2);  // the allreduce and barrier
 }
 
 TEST(Engine, StackPoolReusesStacksAcrossRuns) {
@@ -534,8 +540,6 @@ TEST(Engine, LongParkReclaimsColdStackPages) {
   // barrier with a shallow stack, the cold span below the parked frames goes
   // back to the kernel via madvise(MADV_DONTNEED).
   if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
-  if (!FiberPool::reclaim_supported())
-    GTEST_SKIP() << "no stack reclaim on this context-switch backend";
   Engine engine(16, MachineParams::supermuc_like(), /*seed=*/1,
                 EngineBackend::kFibers);
   engine.run([&](Comm& comm) {
