@@ -252,53 +252,6 @@ int main(int argc, char** argv) {
   }
   flags.csv ? table.print_csv() : table.print();
 
-  // Repetition rows as service jobs: the same sort config repeated
-  // reps times, once as serial fresh-engine spin-ups and once as
-  // overlapping jobs on one warm SortService — the host-time delta the
-  // persistent engine buys on exactly the repetition loops every bench
-  // runs. Virtual results are bit-identical by construction (asserted).
-  struct SvcRow {
-    int p;
-    int reps;
-    double serial_s = 0, service_s = 0, speedup = 0;
-  };
-  std::vector<SvcRow> svc_rows;
-  if (net::fibers_supported() && !flags.huge_p) {
-    std::printf("\nrepetition rows as overlapping service jobs (AMS, "
-                "n/p = 200):\n");
-    harness::Table stable(
-        {"p", "reps", "serial [s]", "service [s]", "speedup"});
-    for (int p : {64, 256}) {
-      SvcRow row{.p = p, .reps = 8};
-      harness::RunConfig cfg;
-      cfg.algorithm = harness::Algorithm::kAms;
-      cfg.p = p;
-      cfg.n_per_pe = 200;
-      cfg.seed = flags.seed;
-      bench::RepJobsOutcome serial = bench::run_reps_serial(cfg, row.reps);
-      svc::ServiceOptions sopt;
-      sopt.max_in_flight = 4;
-      svc::SortService service(sopt);
-      bench::RepJobsOutcome jobs =
-          bench::run_reps_as_jobs(service, cfg, row.reps);
-      for (int r = 0; r < row.reps; ++r) {
-        PMPS_CHECK(serial.results[static_cast<std::size_t>(r)].wall_time() ==
-                   jobs.results[static_cast<std::size_t>(r)].wall_time());
-        PMPS_CHECK(jobs.results[static_cast<std::size_t>(r)].check.ok());
-      }
-      row.serial_s = serial.host_seconds;
-      row.service_s = jobs.host_seconds;
-      row.speedup =
-          row.service_s > 0 ? row.serial_s / row.service_s : 0;
-      svc_rows.push_back(row);
-      stable.add_row({std::to_string(p), std::to_string(row.reps),
-                      harness::format_double(row.serial_s, 3),
-                      harness::format_double(row.service_s, 3),
-                      fmt(row.speedup) + "x"});
-    }
-    flags.csv ? stable.print_csv() : stable.print();
-  }
-
   if (FILE* f = std::fopen("BENCH_micro_engine.json", "w")) {
     std::fprintf(f,
                  "{\n  \"bench\": \"micro_engine\",\n"
@@ -323,15 +276,6 @@ int main(int argc, char** argv) {
                    r.stats.mailbox_shards,
                    static_cast<long long>(r.stats.collective_fast_forwards));
       std::fprintf(f, "%s\n", i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"service_reps\": [\n");
-    for (std::size_t i = 0; i < svc_rows.size(); ++i) {
-      const SvcRow& r = svc_rows[i];
-      std::fprintf(f,
-                   "    {\"p\": %d, \"reps\": %d, \"serial_sec\": %.4f, "
-                   "\"service_sec\": %.4f, \"speedup\": %.2f}%s\n",
-                   r.p, r.reps, r.serial_s, r.service_s, r.speedup,
-                   i + 1 < svc_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: configure, build everything (library, all 16 test
-# suites, every bench and example target), then run the full ctest suite.
+# Tier-1 verification gate: configure, build everything (library, every test
+# suite, bench and example target), then run the full ctest suite.
 # Every PR must keep this green. Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -966,9 +966,8 @@ struct SparseIn {
 ///     reads each piece in place from the sender's plan. The closing
 ///     barrier keeps every plan alive until all receivers are done, even
 ///     when the run is aborted meanwhile.
-///   - messages (a NetworkModel installed, or PMPS_COLL_FF=0): a free-mode
-///     Bruck exchange of the Θ(p) counts, then one mailbox message per
-///     piece.
+///   - messages (a NetworkModel installed): a free-mode Bruck exchange of
+///     the Θ(p) counts, then one mailbox message per piece.
 /// Both keep their scratch in the PE's CollScratch, so a warm exchange
 /// with a reused plan and a non-allocating sink performs zero heap
 /// allocations (docs/DESIGN.md §9, asserted by tests/test_alloc.cpp).

@@ -27,7 +27,7 @@
 //
 // I/O is counted into the SpillStats passed per call (stores sharing a
 // file can keep separate counters) — that accounting is what
-// bench/em_scale.cpp and bench/minute_sort.cpp report as bytes spilled.
+// RunResult::spill and sortbench's em.bytes_written report as bytes spilled.
 
 #pragma once
 

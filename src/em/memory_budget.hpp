@@ -46,8 +46,6 @@ struct SpillTotals {
   std::int64_t prefetch_hits = 0;
   std::int64_t prefetch_misses = 0;
   double io_wait_sec = 0;
-
-  bool spilled() const { return bytes_written > 0; }
 };
 
 /// Host-side spill counters shared by every PE of a run (PE fibers may

@@ -9,7 +9,9 @@
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "ams/ams_sort.hpp"
 #include "baseline/block_bitonic.hpp"
@@ -136,14 +138,19 @@ struct SortJobState {
 
 namespace detail {
 
-/// The Record100 variant of the sort program: same phases, same
-/// verification, 100-byte elements. Only the sorters that are
-/// element-type generic through the budgeted path run records.
-inline void run_record_program(SortJobState& st, net::Comm& comm) {
+/// The sort program over element type T: sort `data` with cfg.algorithm,
+/// verify it, and have rank 0 write the check back. Record100 runs only the
+/// sorters that are element-type generic through the budgeted path.
+template <typename T>
+void run_sort_program(SortJobState& st, net::Comm& comm, std::vector<T> data) {
+  constexpr bool kRecords = std::is_same_v<T, Record100>;
   const RunConfig& cfg = st.cfg;
-  auto data = make_record_workload(comm.rank(), cfg.p, cfg.n_per_pe, cfg.seed);
+  PMPS_CHECK_MSG(!kRecords || cfg.algorithm == Algorithm::kAms ||
+                     cfg.algorithm == Algorithm::kRlm ||
+                     cfg.algorithm == Algorithm::kGvSampleSort,
+                 "Record100 workloads support kAms/kRlm/kGvSampleSort");
   const std::uint64_t in_hash =
-      content_hash(std::span<const Record100>(data.data(), data.size()));
+      content_hash(std::span<const T>(data.data(), data.size()));
   const auto in_count = static_cast<std::int64_t>(data.size());
 
   ams::AmsStats stats;
@@ -170,14 +177,29 @@ inline void run_record_program(SortJobState& st, net::Comm& comm) {
       baseline::gv_sample_sort(comm, data, g);
       break;
     }
-    default:
-      PMPS_CHECK_MSG(false,
-                     "Record100 workloads support kAms/kRlm/kGvSampleSort");
+    case Algorithm::kSampleSort1L:
+      if constexpr (!kRecords) baseline::sample_sort_1l(comm, data, cfg.single);
+      break;
+    case Algorithm::kMergesort1L:
+      if constexpr (!kRecords) baseline::mergesort_1l(comm, data, cfg.single);
+      break;
+    case Algorithm::kMpSortLike:
+      if constexpr (!kRecords) baseline::mpsort_like(comm, data, cfg.single);
+      break;
+    case Algorithm::kHypercubeQuicksort:
+      if constexpr (!kRecords) {
+        baseline::HypercubeConfig h;
+        h.seed = cfg.seed;
+        baseline::hypercube_quicksort(comm, data, h);
+      }
+      break;
+    case Algorithm::kBlockBitonic:
+      if constexpr (!kRecords) baseline::block_bitonic_sort(comm, data);
+      break;
   }
 
   auto check = verify_sorted_output(
-      comm, std::span<const Record100>(data.data(), data.size()), in_hash,
-      in_count);
+      comm, std::span<const T>(data.data(), data.size()), in_hash, in_count);
   if (comm.rank() == 0) {
     std::lock_guard lock(st.mu);
     st.check = check;
@@ -195,66 +217,13 @@ inline std::function<void(net::Comm&)> make_sort_program(
   return [st = std::move(st)](net::Comm& comm) {
     const RunConfig& cfg = st->cfg;
     if (cfg.element == ElementKind::kRecord100) {
-      detail::run_record_program(*st, comm);
-      return;
-    }
-    auto data = make_workload(cfg.workload, comm.rank(), cfg.p, cfg.n_per_pe,
-                              cfg.seed);
-    const std::uint64_t in_hash =
-        content_hash(std::span<const std::uint64_t>(data.data(), data.size()));
-    const auto in_count = static_cast<std::int64_t>(data.size());
-
-    ams::AmsStats stats;
-    switch (cfg.algorithm) {
-      case Algorithm::kAms: {
-        auto a = cfg.ams;
-        a.seed = cfg.seed;
-        a.budget = st->budget;
-        stats = ams::ams_sort(comm, data, a);
-        break;
-      }
-      case Algorithm::kRlm: {
-        auto r = cfg.rlm;
-        r.seed = cfg.seed;
-        r.budget = st->budget;
-        rlm::rlm_sort(comm, data, r);
-        break;
-      }
-      case Algorithm::kSampleSort1L:
-        baseline::sample_sort_1l(comm, data, cfg.single);
-        break;
-      case Algorithm::kMergesort1L:
-        baseline::mergesort_1l(comm, data, cfg.single);
-        break;
-      case Algorithm::kMpSortLike:
-        baseline::mpsort_like(comm, data, cfg.single);
-        break;
-      case Algorithm::kGvSampleSort: {
-        baseline::GvConfig g;
-        g.levels = cfg.ams.levels;
-        g.seed = cfg.seed;
-        g.budget = st->budget;
-        baseline::gv_sample_sort(comm, data, g);
-        break;
-      }
-      case Algorithm::kHypercubeQuicksort: {
-        baseline::HypercubeConfig h;
-        h.seed = cfg.seed;
-        baseline::hypercube_quicksort(comm, data, h);
-        break;
-      }
-      case Algorithm::kBlockBitonic:
-        baseline::block_bitonic_sort(comm, data);
-        break;
-    }
-
-    auto check = verify_sorted_output(
-        comm, std::span<const std::uint64_t>(data.data(), data.size()),
-        in_hash, in_count);
-    if (comm.rank() == 0) {
-      std::lock_guard lock(st->mu);
-      st->check = check;
-      st->ams_stats = std::move(stats);
+      detail::run_sort_program(
+          *st, comm,
+          make_record_workload(comm.rank(), cfg.p, cfg.n_per_pe, cfg.seed));
+    } else {
+      detail::run_sort_program(*st, comm,
+                               make_workload(cfg.workload, comm.rank(), cfg.p,
+                                             cfg.n_per_pe, cfg.seed));
     }
   };
 }

@@ -54,10 +54,6 @@ int threads_max_p() {
       read_knob("PMPS_THREADS_MAX_P", 1, kIntMax).value_or(4096));
 }
 
-bool coll_ff_from_env() {
-  return read_knob("PMPS_COLL_FF", {"0", "1"}).value_or(1) == 1;
-}
-
 /// Approximately standard-normal deviate from three uniforms (Irwin–Hall);
 /// plenty for modelling network jitter and the run's congestion.
 double approx_gauss(Xoshiro256& rng) {
@@ -103,7 +99,6 @@ Engine::Engine(int num_pes, MachineParams machine, std::uint64_t seed,
       seed_(seed),
       backend_(resolve_backend(backend)),
       job_id_(job_id),
-      coll_ff_(coll_ff_from_env()),
       substrate_(std::move(substrate)) {
   PMPS_CHECK(num_pes >= 1);
   if (!substrate_) {

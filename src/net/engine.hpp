@@ -285,12 +285,11 @@ class Engine {
   }
 
   /// True when the collectives may fast-forward (replays and the bulk
-  /// sparse exchange): the default on a clean network. A NetworkModel
-  /// (fault injection must see real messages) or PMPS_COLL_FF=0 (for
-  /// differential testing) restores the message-by-message execution.
-  bool coll_ff_enabled() const {
-    return coll_ff_ && machine_.model == nullptr;
-  }
+  /// sparse exchange): always on a clean network. A NetworkModel (fault
+  /// injection must see real messages) restores the message-by-message
+  /// execution; the base NetworkModel, whose hooks are neutral, does so
+  /// bit-identically, which is how tests run the message path.
+  bool coll_ff_enabled() const { return machine_.model == nullptr; }
 
   /// The send rule: charges `ctx` for sending `bytes` over `lvl` to global
   /// PE `dest_pe` and returns the message's virtual arrival time there. A
@@ -412,7 +411,6 @@ class Engine {
   std::uint64_t seed_;
   EngineBackend backend_;
   std::uint64_t job_id_ = 0;
-  bool coll_ff_ = true;
   double run_congestion_ = 1.0;
   std::uint64_t run_counter_ = 0;
   /// Declared before pes_ so mailboxes (which return nodes on teardown)

@@ -67,8 +67,8 @@ struct CommStats {
 /// Host-side resource accounting of the engine itself — memory the
 /// *simulator* (not the simulated machine) used. Stack fields are zero on
 /// the thread backend and on single-PE inline runs (no fiber pool); the
-/// fast-forward counters are zero when PMPS_COLL_FF=0 or a NetworkModel is
-/// installed. None of these affect virtual time.
+/// fast-forward counters are zero when a NetworkModel is installed. None of
+/// these affect virtual time.
 struct EngineStats {
   std::int64_t peak_stack_bytes = 0;      ///< peak resident fiber stack bytes
   std::int64_t current_stack_bytes = 0;   ///< resident fiber stack bytes now

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -693,7 +694,7 @@ TEST_P(FlatVsP2P, Alltoallv) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FlatVsP2P,
-                         ::testing::Values(1, 2, 3, 5, 8, 12, 16, 31));
+                         ::testing::Values(1, 2, 3, 5, 8, 12, 16, 31, 256));
 
 // ---------------------------------------------------------------------------
 // bulk sparse exchange: bit-identical to the message path, safe on abort
@@ -733,12 +734,23 @@ void capture(const Engine& engine, std::vector<PeOutcome>& out) {
 }
 
 /// supermuc_like() with jitter on every message and a congested run, so
-/// that every replayed charge draws noise.
-MachineParams noisy_machine() {
+/// that every replayed charge draws noise. Off the fast-forward it installs
+/// the base NetworkModel, whose hooks are neutral: the collectives then run
+/// on messages and nothing else changes (net/network_model.hpp).
+MachineParams noisy_machine(bool fast_forward = true) {
   MachineParams machine = MachineParams::supermuc_like();
   machine.comm_noise_frac = 0.3;
   machine.congestion_noise_frac = 0.2;
+  if (!fast_forward) machine.model = std::make_shared<net::NetworkModel>();
   return machine;
+}
+
+/// Expects `engine`'s last run to have taken no fast-forward at all, so
+/// that it is a reference on messages.
+void expect_no_fast_forward(const Engine& engine, const std::string& what) {
+  const net::EngineStats es = engine.report().engine;
+  EXPECT_EQ(es.collective_fast_forwards, 0) << what;
+  EXPECT_EQ(es.bulk_exchanges, 0) << what;
 }
 
 /// Five exchanges of seeded random plans, two of them on a split
@@ -790,21 +802,23 @@ std::vector<PeOutcome> run_random_exchanges(int p, const Backend& backend,
                                             bool fast_forward) {
   ScopedEnv workers("PMPS_FIBER_WORKERS",
                     std::to_string(backend.workers).c_str());
-  ScopedEnv ff("PMPS_COLL_FF", fast_forward ? "1" : "0");
-  Engine engine(p, noisy_machine(), 17, backend.kind);
+  Engine engine(p, noisy_machine(fast_forward), 17, backend.kind);
   std::vector<PeOutcome> out(static_cast<std::size_t>(p));
   engine.run([&](Comm& comm) { random_exchanges(comm, out); });
-  // Three exchanges on the world, two on each half.
-  EXPECT_EQ(engine.report().engine.bulk_exchanges,
-            fast_forward ? 3 + 2 * std::min(p, 2) : 0)
-      << describe(backend, p);
+  if (fast_forward) {
+    // Three exchanges on the world, two on each half.
+    EXPECT_EQ(engine.report().engine.bulk_exchanges, 3 + 2 * std::min(p, 2))
+        << describe(backend, p);
+  } else {
+    expect_no_fast_forward(engine, describe(backend, p));
+  }
   capture(engine, out);
   return out;
 }
 
 TEST(SparseExchange, BulkPathMatchesMessagePath) {
   for (const Backend& backend : backends({1, 3})) {
-    for (const int p : {1, 2, 3, 7, 64}) {
+    for (const int p : {1, 2, 3, 7, 64, 256}) {
       const auto bulk = run_random_exchanges(p, backend, true);
       const auto messages = run_random_exchanges(p, backend, false);
       for (int pe = 0; pe < p; ++pe) {
@@ -1006,8 +1020,7 @@ std::vector<PeOutcome> run_replayed_collectives(int p, const Backend& backend,
                                                 bool fast_forward) {
   ScopedEnv workers("PMPS_FIBER_WORKERS",
                     std::to_string(backend.workers).c_str());
-  ScopedEnv ff("PMPS_COLL_FF", fast_forward ? "1" : "0");
-  Engine engine(p, noisy_machine(), 23, backend.kind);
+  Engine engine(p, noisy_machine(fast_forward), 23, backend.kind);
   std::vector<PeOutcome> out(static_cast<std::size_t>(p));
   engine.run([&](Comm& world) {
     const int me = world.rank();
@@ -1023,9 +1036,12 @@ std::vector<PeOutcome> run_replayed_collectives(int p, const Backend& backend,
                          replays_on(p / 2);
   for (int color = 0; color < 3; ++color)
     replays += replays_on((p - color + 2) / 3);
-  EXPECT_EQ(engine.report().engine.collective_fast_forwards,
-            fast_forward ? replays : 0)
-      << describe(backend, p);
+  if (fast_forward) {
+    EXPECT_EQ(engine.report().engine.collective_fast_forwards, replays)
+        << describe(backend, p);
+  } else {
+    expect_no_fast_forward(engine, describe(backend, p));
+  }
   capture(engine, out);
   return out;
 }

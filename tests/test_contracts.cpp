@@ -11,6 +11,7 @@
 #include "coll/collectives.hpp"
 #include "delivery/delivery.hpp"
 #include "fastsort/fast_rank_sort.hpp"
+#include "harness/runner.hpp"
 #include "net/engine.hpp"
 
 namespace pmps {
@@ -60,6 +61,24 @@ TEST(ContractDeath, AmsRejectsMismatchedGroupCounts) {
         });
       },
       "multiply to p");
+}
+
+TEST(ContractDeath, Record100RejectsKeyOnlySorters) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const auto algo :
+       {harness::Algorithm::kSampleSort1L, harness::Algorithm::kMergesort1L,
+        harness::Algorithm::kMpSortLike,
+        harness::Algorithm::kHypercubeQuicksort,
+        harness::Algorithm::kBlockBitonic}) {
+    harness::RunConfig cfg;
+    cfg.p = 4;
+    cfg.n_per_pe = 16;
+    cfg.element = harness::ElementKind::kRecord100;
+    cfg.algorithm = algo;
+    EXPECT_DEATH((void)harness::run_sort_experiment(cfg),
+                 "Record100 workloads support kAms/kRlm/kGvSampleSort")
+        << harness::algorithm_name(algo);
+  }
 }
 
 TEST(ContractDeath, DeliveryRejectsSizeMismatch) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "ams/ams_sort.hpp"
@@ -516,7 +517,7 @@ TEST_P(SpillEquivalence, BitIdenticalToInMemoryPath) {
     EXPECT_EQ(spill.per_pe[pe], plain.per_pe[pe]) << "PE " << pe;
 
   // Spilling is invisible to virtual time: same clock, same traffic.
-  EXPECT_DOUBLE_EQ(spill.report.wall_time, plain.report.wall_time);
+  EXPECT_EQ(spill.report.wall_time, plain.report.wall_time);
   EXPECT_EQ(spill.report.max_messages_sent, plain.report.max_messages_sent);
   EXPECT_EQ(spill.report.total_bytes_sent, plain.report.total_bytes_sent);
 }
@@ -598,7 +599,7 @@ TEST(OverBudgetHarness, AmsSortExceedingBudgetCompletesAndVerifies) {
   EXPECT_EQ(plain.spill.bytes_written, 0);
   // Same virtual time and traffic — the spill path exchanged the same
   // messages and charged the same local work.
-  EXPECT_DOUBLE_EQ(spilled.report.wall_time, plain.report.wall_time);
+  EXPECT_EQ(spilled.report.wall_time, plain.report.wall_time);
   // Streaming classification is two-pass (count, then scatter), so spilled
   // partitions are read more than once; every read still comes from a prior
   // write.
@@ -609,28 +610,52 @@ TEST(OverBudgetHarness, AmsSortExceedingBudgetCompletesAndVerifies) {
 // Shared spill file under fd pressure
 // ---------------------------------------------------------------------------
 
-TEST(SharedSpillFile, BudgetedSortAtP256CompletesUnderNofile64) {
-  // 256 spilling PEs with RLIMIT_NOFILE lowered to 64 in-process: only the
-  // job-wide shared BlockFile makes this possible (per-PE tmpfiles would
-  // need 256 descriptors). Lowering the soft limit is process-wide and
-  // irreversible for an unprivileged process, but each gtest case runs as
-  // its own ctest process, so nothing leaks into other tests.
+TEST(SharedSpillFile, BudgetedSortsMatchInMemoryUnderNofile64) {
+  // Hundreds of spilling PEs with RLIMIT_NOFILE lowered to 64 in-process:
+  // only the job-wide shared BlockFile makes this possible (per-PE
+  // tmpfiles would need one descriptor per PE). Lowering the soft limit is
+  // process-wide and irreversible for an unprivileged process, but each
+  // gtest case runs as its own ctest process, so nothing leaks into other
+  // tests. The inputs: u64 AMS at p = 256 with every PE spilling at every
+  // stage, and the §7.3 MinuteSort regime at scale, Record100 AMS at
+  // p = 1024 with 20 records resident per stage.
   struct rlimit lim;
   ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &lim), 0);
   lim.rlim_cur = 64;
   ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lim), 0);
 
-  RunConfig cfg;
-  cfg.p = 256;
-  cfg.n_per_pe = 300;  // 2400 bytes per PE
-  cfg.algorithm = Algorithm::kAms;
-  cfg.budget.bytes = 512;  // every PE spills at every stage
-  cfg.budget.block_bytes = 256;
-  cfg.seed = 5;
-  const auto res = harness::run_sort_experiment(cfg);
-  EXPECT_TRUE(res.check.ok());
-  EXPECT_GT(res.spill.bytes_written, 0);
-  EXPECT_GT(res.spill.merge_passes, 0);
+  RunConfig keys;
+  keys.p = 256;
+  keys.n_per_pe = 300;  // 2400 bytes per PE
+  keys.algorithm = Algorithm::kAms;
+  keys.budget.bytes = 512;
+  keys.budget.block_bytes = 256;
+  keys.seed = 5;
+  RunConfig records;
+  records.p = 1024;
+  records.n_per_pe = 200;  // 20 KB of records per PE
+  records.element = harness::ElementKind::kRecord100;
+  records.algorithm = Algorithm::kAms;
+  records.ams.levels = 2;
+  records.budget.bytes = 2048;
+  records.budget.block_bytes = 512;
+  records.seed = 1;
+  for (const RunConfig& cfg : {keys, records}) {
+    const auto spill = harness::run_sort_experiment(cfg);
+    RunConfig in_memory = cfg;
+    in_memory.budget = {};
+    const auto mem = harness::run_sort_experiment(in_memory);
+    EXPECT_TRUE(spill.check.ok()) << "p=" << cfg.p;
+    EXPECT_TRUE(mem.check.ok()) << "p=" << cfg.p;
+    EXPECT_GT(spill.spill.bytes_written, 0) << "p=" << cfg.p;
+    EXPECT_GT(spill.spill.merge_passes, 0) << "p=" << cfg.p;
+    EXPECT_EQ(spill.check.out_signature, mem.check.out_signature)
+        << "p=" << cfg.p;
+    EXPECT_EQ(spill.wall_time(), mem.wall_time()) << "p=" << cfg.p;
+    const double records_per_sim_minute =
+        static_cast<double>(spill.check.total) * 60.0 / spill.wall_time();
+    EXPECT_GE(records_per_sim_minute, 1e4) << "p=" << cfg.p;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +667,7 @@ TEST(Record100Spill, PayloadProvenanceSurvivesBudgetedShuffle) {
   // AMS sort the output must be key-sorted, the multiset of *whole records*
   // must be preserved (every record's 90 payload bytes still attached to
   // its key — byte-level provenance), and the result must be bit-identical
-  // to the in-memory run.
+  // to the in-memory run, in the same virtual time and traffic.
   constexpr int kP = 8;
   constexpr std::int64_t kNPerPe = 400;  // 40 KB per PE
   const auto run = [&](std::int64_t budget_bytes) {
@@ -660,11 +685,18 @@ TEST(Record100Spill, PayloadProvenanceSurvivesBudgetedShuffle) {
       std::lock_guard lock(mu);
       per_pe[static_cast<std::size_t>(comm.rank())] = std::move(data);
     });
-    return per_pe;
+    return std::make_pair(std::move(per_pe), engine.report());
   };
 
-  const auto spilled = run(4096);  // 10% of the payload resident
-  const auto plain = run(0);
+  const auto [spilled, spilled_report] = run(4096);  // 10% resident
+  const auto [plain, plain_report] = run(0);
+
+  // Spilling is invisible to virtual time: same clock, same traffic.
+  EXPECT_EQ(spilled_report.wall_time, plain_report.wall_time);
+  EXPECT_EQ(spilled_report.max_messages_sent, plain_report.max_messages_sent);
+  EXPECT_EQ(spilled_report.max_messages_received,
+            plain_report.max_messages_received);
+  EXPECT_EQ(spilled_report.total_bytes_sent, plain_report.total_bytes_sent);
 
   std::vector<Record100> expect;
   for (int pe = 0; pe < kP; ++pe) {

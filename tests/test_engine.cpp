@@ -7,8 +7,10 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ams/ams_sort.hpp"
@@ -358,8 +360,7 @@ TEST(Engine, ReportIdenticalAcrossBackendsWithNoise) {
 // one. If an intentional cost-model change ever shifts them,
 // re-capture with the printf format below.
 
-std::string canonical_summary(const harness::RunConfig& cfg) {
-  const auto res = harness::run_sort_experiment(cfg);
+std::string canonical_summary(const harness::RunResult& res) {
   char buf[512];
   std::snprintf(
       buf, sizeof buf,
@@ -376,6 +377,10 @@ std::string canonical_summary(const harness::RunConfig& cfg) {
       static_cast<long long>(res.check.total), res.check.imbalance,
       res.check.ok() ? 1 : 0);
   return buf;
+}
+
+std::string canonical_summary(const harness::RunConfig& cfg) {
+  return canonical_summary(harness::run_sort_experiment(cfg));
 }
 
 constexpr const char* kGoldenAms =
@@ -459,17 +464,22 @@ TEST(Engine, CleanModelGoldensHoldOnThreadBackend) {
 }
 
 TEST(Engine, CleanModelGoldensHoldWithFastForwardDisabled) {
-  // PMPS_COLL_FF=0 falls back to the message-by-message barrier and the
-  // dense Bruck counts exchange. The fast-forward replay is only correct if
-  // both paths produce the same virtual times — pin that with the goldens.
-  setenv("PMPS_COLL_FF", "0", 1);
-  EXPECT_EQ(canonical_summary(golden_ams_config()), kGoldenAms);
-  EXPECT_EQ(canonical_summary(golden_rlm_config()), kGoldenRlm);
-  EXPECT_EQ(canonical_summary(golden_ams_long_config()), kGoldenAmsLong);
-  unsetenv("PMPS_COLL_FF");
-  // And back on (the default): still the goldens.
-  EXPECT_EQ(canonical_summary(golden_ams_config()), kGoldenAms);
-  EXPECT_EQ(canonical_summary(golden_ams_long_config()), kGoldenAmsLong);
+  // The base NetworkModel's hooks are neutral, so installing it only turns
+  // the fast-forward off: the replayed collectives and the bulk sparse
+  // exchange run message by message, with the dense Bruck counts exchange.
+  // The fast-forward is only correct if both paths produce the same
+  // virtual times — pin that with the goldens.
+  const std::pair<harness::RunConfig, const char*> goldens[] = {
+      {golden_ams_config(), kGoldenAms},
+      {golden_rlm_config(), kGoldenRlm},
+      {golden_ams_long_config(), kGoldenAmsLong}};
+  for (auto [cfg, golden] : goldens) {
+    cfg.machine.model = std::make_shared<NetworkModel>();
+    const auto res = harness::run_sort_experiment(cfg);
+    EXPECT_EQ(canonical_summary(res), golden);
+    EXPECT_EQ(res.report.engine.collective_fast_forwards, 0) << golden;
+    EXPECT_EQ(res.report.engine.bulk_exchanges, 0) << golden;
+  }
 }
 
 TEST(Engine, ThreadsBackendRefusesHugePeCounts) {
@@ -559,8 +569,8 @@ TEST(Engine, LongParkReclaimsColdStackPages) {
 
 TEST(Engine, FastForwardCountsBulkExchangesDuringAmsSort) {
   // Every sparse exchange of an AMS sort (delivery, bucket grouping) takes
-  // the bulk path on a clean network, and none does once fast-forward is
-  // off or a NetworkModel is installed.
+  // the bulk path on a clean network, and none does once a NetworkModel is
+  // installed — the neutral base model as well as a jittering one.
   if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
   auto cfg = golden_ams_config();
   cfg.backend = EngineBackend::kFibers;
@@ -569,19 +579,16 @@ TEST(Engine, FastForwardCountsBulkExchangesDuringAmsSort) {
   EXPECT_GT(res.report.engine.collective_fast_forwards, 0);
   EXPECT_GT(res.report.engine.bulk_exchanges, 0);
 
-  setenv("PMPS_COLL_FF", "0", 1);
-  const auto off = harness::run_sort_experiment(cfg);
-  unsetenv("PMPS_COLL_FF");
-  EXPECT_TRUE(off.check.ok());
-  EXPECT_EQ(off.report.engine.collective_fast_forwards, 0);
-  EXPECT_EQ(off.report.engine.bulk_exchanges, 0);
-
-  auto modelled = cfg;
-  modelled.machine.model = std::make_shared<JitterModel>(0.1, 5);
-  const auto jit = harness::run_sort_experiment(modelled);
-  EXPECT_TRUE(jit.check.ok());
-  EXPECT_EQ(jit.report.engine.collective_fast_forwards, 0);
-  EXPECT_EQ(jit.report.engine.bulk_exchanges, 0);
+  const std::shared_ptr<const NetworkModel> models[] = {
+      std::make_shared<NetworkModel>(), std::make_shared<JitterModel>(0.1, 5)};
+  for (const auto& model : models) {
+    auto modelled = cfg;
+    modelled.machine.model = model;
+    const auto off = harness::run_sort_experiment(modelled);
+    EXPECT_TRUE(off.check.ok());
+    EXPECT_EQ(off.report.engine.collective_fast_forwards, 0);
+    EXPECT_EQ(off.report.engine.bulk_exchanges, 0);
+  }
 }
 
 TEST(Engine, CleanModelGoldensHoldAcrossFiberWorkerCounts) {
@@ -671,17 +678,6 @@ TEST(RuntimeKnobs, ThreadsMaxPNeedsAPositiveInteger) {
                     [] { run_small(EngineBackend::kThreads); });
   test_support::ScopedEnv env("PMPS_THREADS_MAX_P", "4");
   run_small(EngineBackend::kThreads);
-}
-
-TEST(RuntimeKnobs, CollFfAcceptsOnlyZeroOrOne) {
-  for (const char* bad : {"2", "yes", "01", ""})
-    expect_rejected("PMPS_COLL_FF", bad, [] { run_small(EngineBackend::kAuto); });
-  for (const char* good : {"0", "1"}) {
-    test_support::ScopedEnv env("PMPS_COLL_FF", good);
-    EXPECT_EQ(Engine(4, MachineParams::supermuc_like()).coll_ff_enabled(),
-              good[0] == '1');
-    run_small(EngineBackend::kAuto);
-  }
 }
 
 TEST(RuntimeKnobs, FiberGuardedStacksNeedsANonNegativeInteger) {
