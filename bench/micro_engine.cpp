@@ -3,7 +3,7 @@
 // backend, at p ∈ {64, 256, 1024, 4096} (and {8192, 32768} with --huge-p).
 //
 // This is the cost the fiber engine was built to remove: the thread backend
-// pays p thread creations plus condition-variable wakeup storms per run,
+// pays p thread creations plus a kernel sleep and wakeup per blocked PE,
 // which capped every bench at p ≤ 256; the fiber engine runs the same
 // program on a fixed worker pool. The thread backend is only measured up to
 // --threads-max-p (default 256) — beyond that a single run is so slow that

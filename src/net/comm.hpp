@@ -7,10 +7,10 @@
 // paper's §7.1 note that communicator construction is precomputation.
 //
 // Point-to-point semantics: send() is asynchronous (deposits into the
-// destination mailbox with a virtual arrival time); recv() blocks the PE —
-// parking its fiber under the fiber engine, or its OS thread under the
-// legacy backend — until the matching message exists, and advances the
-// virtual clock to no earlier than the arrival time. Tags are allocated in
+// destination mailbox with a virtual arrival time); recv() blocks the PE
+// through Engine::park — its fiber under the fiber engine, its OS thread
+// under the thread backend — until the matching message exists, and
+// advances the virtual clock to no earlier than the arrival time. Tags are allocated in
 // lockstep via next_tag_block(); higher-level collectives live in
 // coll/collectives.hpp.
 

@@ -22,6 +22,15 @@ namespace {
 
 constexpr long kIntMax = std::numeric_limits<int>::max();
 
+/// Stack per fiber: 256 KiB of lazily committed stack is generous for the
+/// SPMD programs here (heap-allocated data, shallow recursion).
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+/// The thread backend starts one OS thread per PE per run; beyond a few
+/// thousand that exhausts process limits (thread stacks, pid slots) long
+/// before the run finishes, so larger runs are refused before any starts.
+constexpr int kThreadsMaxP = 4096;
+
 EngineBackend resolve_backend(EngineBackend requested) {
   if (requested == EngineBackend::kAuto) {
     if (const auto env = read_knob("PMPS_ENGINE", {"threads", "fibers"}))
@@ -32,26 +41,10 @@ EngineBackend resolve_backend(EngineBackend requested) {
   return fibers_supported() ? EngineBackend::kFibers : EngineBackend::kThreads;
 }
 
-std::size_t fiber_stack_bytes() {
-  // 256 KiB of lazily committed stack per PE is generous for the SPMD
-  // programs here (heap-allocated data, shallow recursion); overridable for
-  // unusual workloads, from 64 KiB up to 1 GiB.
-  const long kb = read_knob("PMPS_FIBER_STACK_KB", 64, 1L << 20).value_or(256);
-  return static_cast<std::size_t>(kb) * 1024;
-}
-
 int fiber_workers(int num_pes) {
   const long w = read_knob("PMPS_FIBER_WORKERS", 1, kIntMax)
                      .value_or(std::thread::hardware_concurrency());
   return std::clamp(static_cast<int>(w), 1, num_pes);
-}
-
-int threads_max_p() {
-  // The legacy backend spawns one OS thread per PE per run; beyond a few
-  // thousand that exhausts process limits (thread stacks, pid slots) long
-  // before the run finishes. Refuse early with a clear error instead.
-  return static_cast<int>(
-      read_knob("PMPS_THREADS_MAX_P", 1, kIntMax).value_or(4096));
 }
 
 /// Approximately standard-normal deviate from three uniforms (Irwin–Hall);
@@ -80,10 +73,10 @@ EngineSubstrate::EngineSubstrate(int num_shards) {
 
 EngineSubstrate::~EngineSubstrate() = default;
 
-FiberPool* EngineSubstrate::ensure_pool(int workers, std::size_t stack_bytes) {
+FiberPool* EngineSubstrate::ensure_pool(int workers) {
   if (!fibers_supported()) return nullptr;
   std::lock_guard lock(pool_mu_);
-  if (!pool_) pool_ = std::make_unique<FiberPool>(workers, stack_bytes);
+  if (!pool_) pool_ = std::make_unique<FiberPool>(workers, kFiberStackBytes);
   return pool_.get();
 }
 
@@ -120,9 +113,7 @@ Engine::Engine(int num_pes, MachineParams machine, std::uint64_t seed,
   }
   pes_.reserve(static_cast<std::size_t>(num_pes));
   for (int i = 0; i < num_pes; ++i) {
-    auto ctx = std::make_unique<PeContext>();
-    ctx->pe = i;
-    ctx->mailbox.set_node_pool(&node_pool(i));
+    auto ctx = std::make_unique<PeContext>(i, node_pool(i));
     ctx->rng = Xoshiro256(seed, static_cast<std::uint64_t>(i));
     ctx->noise_rng =
         Xoshiro256(seed ^ 0x6e6f697365ULL, static_cast<std::uint64_t>(i));
@@ -197,74 +188,49 @@ void Engine::run_pe(int pe, const std::function<void(Comm&)>& program) {
   }
 }
 
-std::optional<std::string> Engine::collect_failure() {
-  if (!failed_.load(std::memory_order_acquire)) return std::nullopt;
-  drain_needed_ = true;
-  std::lock_guard lock(fail_mu_);
-  return fail_msg_;
-}
-
-void Engine::run_sync(const std::function<void(Comm&)>& program) {
-  prepare_run();
-
+void Engine::run_sync() {
   if (num_pes_ == 1) {
     // Inline run: a single PE only ever sends to itself (kSelf links carry
     // no faults), so no abort can originate from inside; run_pe still
     // wraps the program so an external (service-side) abort_run unwinds
     // cleanly instead of escaping.
-    run_pe(0, program);
+    run_pe(0, run_program_);
     return;
   }
-
-  if (backend_ == EngineBackend::kFibers) {
-    if (!pool_)
-      pool_ = substrate_->ensure_pool(fiber_workers(num_pes_),
-                                      fiber_stack_bytes());
-    if (!batch_) batch_ = pool_->create_batch(num_pes_);
-    cur_batch_.store(batch_.get(), std::memory_order_release);
-    pool_->launch(*batch_,
-                  [this, &program](int pe) { run_pe(pe, program); });
-    batch_->wait();
-    cur_batch_.store(nullptr, std::memory_order_release);
-  } else {
-    const int cap = threads_max_p();
-    if (num_pes_ > cap) {
-      throw std::runtime_error(
-          "PMPS_ENGINE=threads refuses p=" + std::to_string(num_pes_) +
-          " (> cap " + std::to_string(cap) +
-          "): one OS thread per PE would exhaust the process. Use the fiber "
-          "backend for large p, or raise PMPS_THREADS_MAX_P.");
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(num_pes_));
-    for (int i = 0; i < num_pes_; ++i)
-      threads.emplace_back([this, &program, i] { run_pe(i, program); });
-    for (auto& t : threads) t.join();
+  if (num_pes_ > kThreadsMaxP) {
+    throw std::runtime_error(
+        "PMPS_ENGINE=threads refuses p=" + std::to_string(num_pes_) +
+        " (> cap " + std::to_string(kThreadsMaxP) +
+        "): one OS thread per PE would exhaust the process. Use the fiber "
+        "backend for large p.");
   }
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(num_pes_));
+  for (int i = 0; i < num_pes_; ++i)
+    threads.emplace_back([this, i] { run_pe(i, run_program_); });
+  for (auto& t : threads) t.join();
 }
 
 void Engine::run(const std::function<void(Comm&)>& program) {
-  run_sync(program);
-  if (auto err = collect_failure()) throw NetworkError(*err);
+  start_run(program, {});
+  if (auto err = finish_run()) throw NetworkError(*err);
 }
 
 void Engine::start_run(std::function<void(Comm&)> program,
                        std::function<void()> on_complete) {
   run_program_ = std::move(program);
+  prepare_run();
   if (backend_ == EngineBackend::kFibers && num_pes_ > 1) {
-    prepare_run();
-    if (!pool_)
-      pool_ = substrate_->ensure_pool(fiber_workers(num_pes_),
-                                      fiber_stack_bytes());
+    if (!pool_) pool_ = substrate_->ensure_pool(fiber_workers(num_pes_));
     if (!batch_) batch_ = pool_->create_batch(num_pes_);
     cur_batch_.store(batch_.get(), std::memory_order_release);
     pool_->launch(*batch_, [this](int pe) { run_pe(pe, run_program_); },
                   std::move(on_complete));
     return;
   }
-  // Synchronous fallback (p == 1 inline runs, thread backend): the run
-  // completes before start_run returns and on_complete fires on the caller.
-  run_sync(run_program_);
+  // p = 1 inline runs and the thread backend: the run completes before
+  // start_run returns and on_complete fires on the caller.
+  run_sync();
   if (on_complete) on_complete();
 }
 
@@ -274,7 +240,10 @@ std::optional<std::string> Engine::finish_run() {
     cur_batch_.store(nullptr, std::memory_order_release);
   }
   run_program_ = nullptr;
-  return collect_failure();
+  if (!failed_.load(std::memory_order_acquire)) return std::nullopt;
+  drain_needed_ = true;
+  std::lock_guard lock(fail_mu_);
+  return fail_msg_;
 }
 
 void Engine::abort_run(const std::string& why) {
@@ -295,17 +264,14 @@ void Engine::abort_run(const std::string& why, double at_time, int pe) {
   }
   // Poison the rendezvous board first: members parked in a rendezvous
   // have no mailbox registration, so the mailbox poison below would never
-  // reach them. Wakes target this engine's in-flight batch only, so a
-  // service-side abort never touches sibling jobs' fibers.
-  FiberBatch* b = cur_batch_.load(std::memory_order_acquire);
+  // reach them. Wakes target this engine's PEs only, so a service-side
+  // abort never touches sibling jobs.
   {
     std::lock_guard lock(rv_mu_);
     for (auto& [id, cell] : rv_cells_) {
       cell->aborted = true;
-      if (b)
-        for (const int pe : cell->parked_pes) b->wake(pe);
+      for (const int pe : cell->parked_pes) wake(pe);
       cell->parked_pes.clear();
-      cell->cv.notify_all();
     }
   }
   // Poison every mailbox (the origin PE's too — it unwinds on its own
@@ -313,34 +279,41 @@ void Engine::abort_run(const std::string& why, double at_time, int pe) {
   // deposit_message, so a registered waiter is always resumed.
   for (auto& ctx : pes_) {
     const int pe = ctx->pe;
-    if (b) {
-      ctx->mailbox.poison([b, pe] { b->wake(pe); });
-    } else {
-      ctx->mailbox.poison();
-    }
+    ctx->mailbox.poison([this, pe] { wake(pe); });
+  }
+}
+
+void Engine::park(PeContext& ctx, std::unique_lock<std::mutex>& lock,
+                  bool long_wait) {
+  if (cur_batch_.load(std::memory_order_acquire) != nullptr) {
+    FiberPool::prepare_block(long_wait);
+    lock.unlock();
+    FiberPool::block_current();
+  } else {
+    lock.unlock();
+    ctx.wake_sem.acquire();
+  }
+  lock.lock();
+}
+
+void Engine::wake(int pe) {
+  if (FiberBatch* b = cur_batch_.load(std::memory_order_acquire)) {
+    b->wake(pe);
+  } else {
+    pes_[static_cast<std::size_t>(pe)]->wake_sem.release();
   }
 }
 
 void Engine::deposit_message(int dest_pe, Message&& m) {
-  PeContext& dst = *pes_[static_cast<std::size_t>(dest_pe)];
-  if (FiberBatch* b = cur_batch_.load(std::memory_order_acquire)) {
-    dst.mailbox.deposit(std::move(m), [b, dest_pe] { b->wake(dest_pe); });
-  } else {
-    dst.mailbox.deposit(std::move(m));
-  }
+  pes_[static_cast<std::size_t>(dest_pe)]->mailbox.deposit(
+      std::move(m), [this, dest_pe] { wake(dest_pe); });
 }
 
 Message Engine::retrieve_message(PeContext& ctx, const MsgKey& key) {
-  if (backend_ == EngineBackend::kFibers && FiberPool::in_fiber()) {
-    for (;;) {
-      auto m = ctx.mailbox.retrieve_or_block(
-          key, [] { FiberPool::prepare_block(); });
-      if (m) return std::move(*m);
-      FiberPool::block_current();
-    }
-  }
-  // Thread backend and single-PE inline runs.
-  return ctx.mailbox.retrieve(key);
+  return ctx.mailbox.retrieve(
+      key, [this, &ctx](std::unique_lock<std::mutex>& lock) {
+        park(ctx, lock, /*long_wait=*/false);
+      });
 }
 
 Engine::RendezvousCell& Engine::rv_cell_locked(std::uint64_t comm_id,
@@ -357,46 +330,30 @@ Engine::RendezvousCell& Engine::rv_cell_locked(std::uint64_t comm_id,
 }
 
 void Engine::rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
-                     int pe, bool defer_abort) {
+                     PeContext& ctx, bool defer_abort) {
   const std::uint64_t gen0 = cell.gen;
-  // Released is checked before aborted: a member released just before an
-  // abort must still return, because the bulk exchange's readers rely on
-  // every released member reaching its closing barrier.
-  const auto done = [&] {
-    return cell.gen != gen0 || (cell.aborted && !defer_abort);
-  };
-  if (backend_ == EngineBackend::kFibers && FiberPool::in_fiber()) {
-    // A rendezvous park is the long-lived collective wait: the whole phase
-    // blocks here, so the worker reclaims this fiber's cold stack span
-    // (prepare_block(true)). The registration (parked_pes) happens under
-    // rv_mu_, exactly like a mailbox wait registration under the mailbox
-    // lock, so a releasing/aborting peer can never miss us. Each wake
-    // consumes the registration, so a member woken by an abort it defers
-    // registers again before parking again.
-    do {
-      cell.parked_pes.push_back(pe);
-      FiberPool::prepare_block(/*long_wait=*/true);
-      lock.unlock();
-      FiberPool::block_current();
-      lock.lock();
-    } while (!done());
-  } else {
-    cell.cv.wait(lock, done);
-  }
+  // A rendezvous park is the long-lived collective wait: the whole phase
+  // blocks here, so a fiber's worker reclaims its cold stack span. The
+  // registration (parked_pes) happens under rv_mu_, exactly like a mailbox
+  // wait registration under the mailbox lock, so a releasing or aborting
+  // peer can never miss us. Each wake consumes the registration, so a
+  // member woken by an abort it defers takes rv_mu_ again and registers
+  // again before parking again. Released is checked before aborted: a
+  // member released just before an abort must still return, because the
+  // bulk exchange's readers rely on every released member reaching its
+  // closing barrier.
+  do {
+    cell.parked_pes.push_back(ctx.pe);
+    park(ctx, lock, /*long_wait=*/true);
+  } while (cell.gen == gen0 && !(cell.aborted && !defer_abort));
   if (cell.gen == gen0) throw RunAborted{};
 }
 
 void Engine::rv_release_locked(RendezvousCell& cell) {
   cell.arrived = 0;
   ++cell.gen;
-  if (!cell.parked_pes.empty()) {
-    // parked_pes is only populated on the fiber path, during a run — the
-    // in-flight batch is always set here.
-    FiberBatch* b = cur_batch_.load(std::memory_order_acquire);
-    for (const int pe : cell.parked_pes) b->wake(pe);
-    cell.parked_pes.clear();
-  }
-  cell.cv.notify_all();
+  for (const int pe : cell.parked_pes) wake(pe);
+  cell.parked_pes.clear();
 }
 
 bool Engine::rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
@@ -408,7 +365,7 @@ bool Engine::rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
   RendezvousCell& cell = rv_cell_locked(comm_id, size);
   if (cell.aborted && !defer_abort) throw RunAborted{};
   if (++cell.arrived < size) {
-    rv_park(lock, cell, ctx.pe, defer_abort);
+    rv_park(lock, cell, ctx, defer_abort);
     return cell.aborted;
   }
   // Last arriver: every other member is parked (or about to park — each
@@ -569,7 +526,5 @@ EngineBackend resolve_engine_backend(EngineBackend requested) {
 }
 
 int engine_fiber_workers(int num_pes) { return fiber_workers(num_pes); }
-
-std::size_t engine_fiber_stack_bytes() { return fiber_stack_bytes(); }
 
 }  // namespace pmps::net

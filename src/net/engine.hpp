@@ -8,13 +8,18 @@
 // Execution backends (selectable, bit-for-bit identical results):
 //   kFibers  — the default where supported: W ≈ hardware-thread workers run
 //              all p PEs as cooperatively scheduled stackful fibers
-//              (fiber.hpp). A PE blocking in a recv parks its fiber; the
-//              depositing PE re-enqueues it. No per-run thread creation, no
-//              wakeup broadcasts — this is what makes paper-scale PE counts
+//              (fiber.hpp). No per-run thread creation, no wakeup
+//              broadcasts — this is what makes paper-scale PE counts
 //              (p ≥ 4096, §7.3) simulable on one host.
 //   kThreads — the seed backend: one OS thread per PE per run. Kept behind
 //              the same interface for differential testing; select with
 //              PMPS_ENGINE=threads (or explicitly in the constructor).
+//
+// A PE that must wait — a recv whose message has not arrived, a member of
+// a rendezvous that is not the last to arrive — blocks through one pair,
+// Engine::park and Engine::wake, on either backend: its fiber parks while a
+// fiber run is in flight, otherwise its OS thread sleeps on the PE's
+// semaphore.
 //
 // Determinism does not depend on the backend: message matching is exact on
 // (comm id, tag, source PE) and every PE owns its RNG streams and virtual
@@ -24,12 +29,12 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <semaphore>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -95,9 +100,11 @@ enum class RendezvousKind {
 };
 
 /// All mutable per-PE state. Owned by the engine, accessed only by the
-/// thread or fiber running that PE (mailbox deposits aside, which are
-/// internally synchronised).
+/// thread or fiber running that PE (mailbox deposits and wake_sem aside,
+/// which are internally synchronised).
 struct PeContext {
+  PeContext(int pe, MsgNodePool& node_pool) : pe(pe), mailbox(node_pool) {}
+
   int pe = -1;
   double clock = 0;  ///< virtual time (seconds)
   Phase phase = Phase::kOther;
@@ -110,6 +117,10 @@ struct PeContext {
   /// the NetworkModel hashes its fault decisions from.
   std::uint64_t send_seq = 0;
   Mailbox mailbox;
+  /// Where Engine::park puts this PE's OS thread to sleep when no fiber run
+  /// is in flight (thread backend, p = 1 inline runs). Holds at most one
+  /// token: every wake consumes one registration (Engine::park).
+  std::binary_semaphore wake_sem{0};
   CommStats stats;
   CollScratch coll_scratch;
   Xoshiro256 rng;        ///< algorithmic randomness (shared seed semantics)
@@ -172,10 +183,10 @@ class EngineSubstrate {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   MailboxShard& shard(std::size_t i) { return *shards_[i]; }
 
-  /// The shared fiber pool, created on first use with the given geometry
-  /// (later calls return the existing pool regardless of arguments).
+  /// The shared fiber pool, created on first use with `workers` workers
+  /// (later calls return the existing pool regardless of the argument).
   /// Thread-safe; returns nullptr when fibers are unsupported.
-  FiberPool* ensure_pool(int workers, std::size_t stack_bytes);
+  FiberPool* ensure_pool(int workers);
   /// The pool if one was created, else nullptr.
   FiberPool* pool() const { return pool_.get(); }
 
@@ -209,16 +220,17 @@ class Engine {
 
   /// Runs `program` on all PEs and blocks until every PE finished. May be
   /// called repeatedly; clocks and stats reset between runs, and the fiber
-  /// pool (workers, stacks) is reused across runs. Equivalent to
-  /// start_run + FiberBatch::wait + finish_run (rethrowing the failure),
-  /// with inline/thread fallbacks for the non-fiber paths.
+  /// pool (workers, stacks) is reused across runs. It is start_run +
+  /// finish_run, rethrowing the failure as a NetworkError.
   void run(const std::function<void(Comm&)>& program);
 
-  /// Service path (fiber backend only): launches the run and returns
-  /// without waiting. `on_complete` fires exactly once, on the worker
-  /// thread that finishes the last PE, after which finish_run() must be
-  /// called (from any thread) to collect the run's outcome. The engine
-  /// must not be destroyed or re-run before finish_run returns.
+  /// Launches the run. On the fiber backend (p > 1) it returns without
+  /// waiting and `on_complete`, if set, fires exactly once on the worker
+  /// thread that finishes the last PE; a p = 1 or thread-backend run
+  /// completes before start_run returns and fires `on_complete` on the
+  /// caller. Either way finish_run() must then be called (from any
+  /// thread) to collect the run's outcome; the engine must not be
+  /// destroyed or re-run before finish_run returns.
   void start_run(std::function<void(Comm&)> program,
                  std::function<void()> on_complete);
 
@@ -240,8 +252,9 @@ class Engine {
   PeContext& pe_context(int pe) { return *pes_[pe]; }
   const PeContext& pe_context(int pe) const { return *pes_[pe]; }
 
-  /// Message delivery/pickup for Comm: routes through the backend's blocking
-  /// protocol (fiber park/re-enqueue, or targeted cv wait for threads).
+  /// Message delivery/pickup for Comm: a deposit that matches the
+  /// destination's registered wait wakes it, a retrieve that misses parks
+  /// (park/wake).
   void deposit_message(int dest_pe, Message&& m);
   Message retrieve_message(PeContext& ctx, const MsgKey& key);
 
@@ -360,9 +373,23 @@ class Engine {
     int arrived = 0;           ///< members arrived this generation
     std::uint64_t gen = 0;     ///< bumped on release; parked members wait on it
     bool aborted = false;      ///< run aborted: see rv_park
-    std::vector<int> parked_pes;     ///< global PE ids parked (fiber backend)
-    std::condition_variable cv;      ///< thread backend park (waits on rv_mu_)
+    std::vector<int> parked_pes;  ///< global PE ids parked, one entry each
   };
+
+  /// Blocks the calling PE, which has just registered a wait under `lock`
+  /// (its mailbox key, or its entry in a rendezvous cell's parked_pes),
+  /// until a wake(ctx.pe) consumes that registration; returns with `lock`
+  /// held again. While a fiber run is in flight the PE's fiber parks —
+  /// published under `lock`, so no wake can find it still running — and
+  /// `long_wait` lets its worker reclaim the cold stack span; otherwise the
+  /// PE's OS thread sleeps on ctx.wake_sem. Every wake consumes exactly one
+  /// registration, and a PE registers again only after it woke, so the
+  /// semaphore never holds two tokens.
+  void park(PeContext& ctx, std::unique_lock<std::mutex>& lock,
+            bool long_wait);
+  /// Resumes PE `pe`, whose registration the caller has just consumed;
+  /// the backend is chosen from the same in-flight batch as park's.
+  void wake(int pe);
 
   /// The type-erased core of rendezvous().
   bool rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
@@ -378,7 +405,7 @@ class Engine {
   /// once, or, with `defer_abort`, keeps the member parked until the
   /// release.
   void rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
-               int pe, bool defer_abort);
+               PeContext& ctx, bool defer_abort);
 
   /// charge_send under an installed NetworkModel (jitter-only, or the full
   /// ack/retransmit protocol when the model is lossy): advances the
@@ -392,19 +419,16 @@ class Engine {
   /// (rv_mu_ held).
   void rv_release_locked(RendezvousCell& cell);
 
-  /// Per-run reset of clocks/stats/abort state shared by run() and
+  /// Per-run reset of clocks/stats/abort state at the start of every
   /// start_run(); draws the run's congestion factor.
   void prepare_run();
   /// The per-PE body of a run: builds the world Comm and executes the
   /// program, swallowing the RunAborted/NetworkError unwinds of an aborted
   /// run so the backend's fiber/thread always finishes normally.
   void run_pe(int pe, const std::function<void(Comm&)>& program);
-  /// prepare_run + execute-on-all-PEs + join, without the failure check —
-  /// the synchronous core of run() and of start_run's non-fiber fallback.
-  void run_sync(const std::function<void(Comm&)>& program);
-  /// Post-run failure check shared by run() and finish_run(): clears the
-  /// abort latch and returns the first abort reason, if any.
-  std::optional<std::string> collect_failure();
+  /// start_run's synchronous runs: run_program_ on the one PE inline
+  /// (p = 1) or on one OS thread per PE (thread backend), then join.
+  void run_sync();
 
   int num_pes_;
   MachineParams machine_;
@@ -421,9 +445,9 @@ class Engine {
   std::vector<std::unique_ptr<PeContext>> pes_;
   FiberPool* pool_ = nullptr;  ///< substrate's pool (fiber backend, p > 1)
   std::shared_ptr<FiberBatch> batch_;  ///< cached across runs (fiber backend)
-  /// The in-flight batch while a run is executing — the wake target for
-  /// deposit_message/rendezvous/abort paths. Null outside runs and on the
-  /// thread/inline backends (which use the cv protocol instead).
+  /// The in-flight batch while a fiber run is executing. Null outside runs
+  /// and on the thread/inline runs; park and wake both choose the backend
+  /// from it, so they can never disagree.
   std::atomic<FiberBatch*> cur_batch_{nullptr};
   std::function<void(Comm&)> run_program_;  ///< keeps start_run's program alive
   // --- fast-forward board ---------------------------------------------------
@@ -456,8 +480,5 @@ EngineBackend resolve_engine_backend(
 /// (PMPS_FIBER_WORKERS or the hardware concurrency, clamped to num_pes).
 /// A shared substrate sized for arbitrary jobs passes INT_MAX.
 int engine_fiber_workers(int num_pes);
-
-/// Per-fiber stack size (PMPS_FIBER_STACK_KB, default 256 KiB).
-std::size_t engine_fiber_stack_bytes();
 
 }  // namespace pmps::net

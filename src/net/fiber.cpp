@@ -508,8 +508,6 @@ FiberPool::~FiberPool() {
   delete impl_;  // StackPool unmaps the slabs
 }
 
-bool FiberPool::in_fiber() { return tl_current_fiber != nullptr; }
-
 FiberStackStats FiberPool::stack_stats() const {
   return impl_->stack_pool.stats();
 }
@@ -713,13 +711,6 @@ void FiberPool::launch(FiberBatch& batch, std::function<void(int)> body,
   }
 }
 
-void FiberPool::run(int n, const std::function<void(int)>& body) {
-  PMPS_CHECK_MSG(!in_fiber(), "FiberPool::run from inside a pool fiber");
-  auto batch = create_batch(n);
-  launch(*batch, body);
-  batch->wait();
-}
-
 FiberBatch::FiberBatch() : st_(std::make_unique<State>()) {}
 
 FiberBatch::~FiberBatch() = default;
@@ -733,13 +724,6 @@ void FiberBatch::wait() {
   st_->cv.wait(lock,
                [this] { return !st_->launched || st_->finished == st_->n; });
 }
-
-bool FiberBatch::done() const {
-  std::lock_guard lock(st_->mu);
-  return !st_->launched || st_->finished == st_->n;
-}
-
-int FiberBatch::size() const { return st_->n; }
 
 }  // namespace pmps::net
 

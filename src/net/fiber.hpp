@@ -1,10 +1,11 @@
 // Stackful fibers and the cooperative scheduler behind the SPMD engine.
 //
 // A FiberPool owns W worker threads, each pulling PE fibers off a shared run
-// queue. A fiber that cannot make progress (its Mailbox::retrieve found no
-// matching message) parks itself instead of sleeping on a condition
-// variable; the PE that later deposits the matching message re-enqueues it.
-// This replaces the seed engine's one-OS-thread-per-PE model, whose
+// queue. A fiber that cannot make progress (a recv found no matching
+// message, or a rendezvous is still waiting for peers) parks itself through
+// Engine::park instead of sleeping on an OS primitive; the PE that later
+// consumes its registration re-enqueues it through Engine::wake. This
+// replaces the seed engine's one-OS-thread-per-PE model, whose
 // thread-creation and wakeup-storm costs capped every bench at p ≤ 256, and
 // lets a single host simulate paper-scale PE counts (p ≥ 4096, cf. §7.3).
 //
@@ -14,8 +15,9 @@
 // and PMPS_ENGINE in engine.hpp).
 //
 // Blocking protocol (the part that makes wakeups race-free):
-//   1. The fiber, holding its mailbox lock, registers the key it waits for
-//      and calls prepare_block() → state = kBlocking.
+//   1. The fiber, holding its waker's lock (its mailbox's, or the engine's
+//      rendezvous lock), registers its wait and calls prepare_block() →
+//      state = kBlocking.
 //   2. It releases the lock and calls block_current(), which switches back
 //      to the worker. The worker moves kBlocking → kBlocked (parked).
 //   3. A depositor that consumed the registration calls wake(): it either
@@ -76,19 +78,14 @@ class FiberBatch {
   FiberBatch& operator=(const FiberBatch&) = delete;
 
   /// Makes fiber `index` of this batch runnable again. Must pair with a
-  /// prepare_block()/block_current() on that fiber; called by the message
-  /// depositor after consuming the wait registration.
+  /// prepare_block()/block_current() on that fiber; called through
+  /// Engine::wake by whoever consumed the fiber's wait registration.
   void wake(int index);
 
   /// Blocks the calling thread until every fiber of the current launch has
   /// finished. Returns immediately when the batch was never launched or has
   /// already completed.
   void wait();
-
-  /// True when no launch is in flight (all fibers finished).
-  bool done() const;
-
-  int size() const;
 
  private:
   friend class FiberPool;
@@ -123,19 +120,11 @@ class FiberPool {
   FiberPool(int num_workers, std::size_t stack_bytes);
 
   /// Joins the workers and unmaps the stack pool's slabs. Must not be
-  /// called while a run() is in flight.
+  /// called while a launch is in flight.
   ~FiberPool();
 
   FiberPool(const FiberPool&) = delete;
   FiberPool& operator=(const FiberPool&) = delete;
-
-  /// Runs `body(i)` for i in [0, n) as n cooperatively scheduled fibers and
-  /// blocks until all of them finish. Convenience wrapper over
-  /// create_batch + launch + wait for one-shot callers. An exception
-  /// escaping any body terminates the process (the std::thread contract;
-  /// peers blocked on the dead PE could never finish anyway). Must not be
-  /// called from inside one of this pool's fibers.
-  void run(int n, const std::function<void(int)>& body);
 
   /// Creates an idle batch of `n` fibers bound to this pool. The batch is
   /// reusable: launch it as many times as needed (each launch resets the
@@ -144,7 +133,9 @@ class FiberPool {
 
   /// Starts a launch of `batch`: every fiber becomes runnable with
   /// `body(i)` and the call returns immediately. The batch must be idle
-  /// (never launched, or the previous launch fully finished). If
+  /// (never launched, or the previous launch fully finished). An exception
+  /// escaping any body terminates the process (the std::thread contract;
+  /// peers blocked on the dead PE could never finish anyway). If
   /// `on_complete` is non-empty it is invoked exactly once, on the worker
   /// thread that finishes the batch's last fiber, after FiberBatch::wait
   /// would unblock — the service's job-completion hook. `on_complete` may
@@ -152,16 +143,13 @@ class FiberPool {
   void launch(FiberBatch& batch, std::function<void(int)> body,
               std::function<void()> on_complete = {});
 
-  /// True when the calling code is executing on a pool fiber.
-  static bool in_fiber();
-
   /// Publishes the current fiber's intent to block. Call while holding the
   /// lock that a waker will later hold (the mailbox lock, or the engine's
   /// rendezvous lock), so that any wake() issued after the registration
   /// finds the fiber in kBlocking or later — never in kRunning.
   /// `long_wait` marks a long-lived collective park (e.g. a barrier wait):
   /// the worker reclaims the fiber's cold stack span before parking it.
-  static void prepare_block(bool long_wait = false);
+  static void prepare_block(bool long_wait);
 
   /// Parks the current fiber (after prepare_block). Returns once a wake()
   /// for this fiber has been issued.
@@ -198,21 +186,17 @@ class FiberBatch {
  public:
   void wake(int) {}
   void wait() {}
-  bool done() const { return true; }
-  int size() const { return 0; }
 };
 
 class FiberPool {
  public:
   FiberPool(int, std::size_t) {}
-  void run(int, const std::function<void(int)>&) {}
   std::shared_ptr<FiberBatch> create_batch(int) {
     return std::make_shared<FiberBatch>();
   }
   void launch(FiberBatch&, std::function<void(int)>,
               std::function<void()> = {}) {}
-  static bool in_fiber() { return false; }
-  static void prepare_block(bool = false) {}
+  static void prepare_block(bool) {}
   static void block_current() {}
   int num_workers() const { return 0; }
   FiberStackStats stack_stats() const { return {}; }

@@ -1,10 +1,9 @@
-// Strict parsing of the PMPS_* runtime knobs (engine backend, fiber stacks
-// and workers, the thread-backend cap, collective fast-forward). An unset
-// variable means "use the default". A set one must be one of the accepted
-// values, or read_knob throws std::invalid_argument naming the variable,
-// its value and what it accepts: an invalid configuration is rejected by
-// name, never silently defaulted. The engine reads every knob before any
-// PE runs.
+// Strict parsing of the PMPS_* runtime knobs (engine backend, fiber
+// workers, guarded fiber stacks). An unset variable means "use the
+// default". A set one must be one of the accepted values, or read_knob
+// throws std::invalid_argument naming the variable, its value and what it
+// accepts: an invalid configuration is rejected by name, never silently
+// defaulted. The engine reads every knob before any PE runs.
 
 #pragma once
 

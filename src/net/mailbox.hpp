@@ -24,20 +24,19 @@
 // when the deposited key matches that registration, instead of
 // notify_all-broadcasting on every deposit.
 //
-// Two blocking protocols share the same store: retrieve() blocks the calling
-// OS thread on a condition variable (legacy thread backend, single-PE inline
-// runs), while retrieve_or_block()/deposit(m, wake) let the fiber engine
-// park and re-enqueue PE fibers (see fiber.hpp and Engine::retrieve_message).
+// The mailbox does not know how its consumer blocks: retrieve() hands the
+// locked mailbox to a `park` callable and deposit()/poison() call a `wake`
+// callable, which the engine binds to Engine::park and Engine::wake — a
+// fiber park on the fiber backend, a per-PE semaphore on the thread
+// backend (docs/DESIGN.md §6).
 
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -250,41 +249,22 @@ class RunAborted : public std::runtime_error {
 /// One PE's delivery endpoint: an open-addressing key table over pooled
 /// FIFO node lists behind one mutex, with a single registered consumer
 /// (the owning PE) and targeted wakeups. Any PE may deposit(); only the
-/// owner retrieves. The two retrieve flavours implement the two blocking
-/// protocols of the engine backends (OS-thread condition wait vs fiber
-/// park/wake — see the file comment).
+/// owner retrieves.
+///
+/// Registration invariant: a retrieve that misses registers its key once
+/// and then parks, and every `wake` call consumes that registration — so
+/// each park is answered by exactly one wake, never two.
 class Mailbox {
  public:
-  /// A standalone mailbox owns a private node pool; the engine replaces it
-  /// with the shared per-engine pool via set_node_pool before first use.
-  Mailbox() : owned_pool_(std::make_unique<MsgNodePool>()) {
-    pool_ = owned_pool_.get();
-  }
+  /// Nodes come from `pool` (the engine's shard for this PE), which must
+  /// outlive the mailbox.
+  explicit Mailbox(MsgNodePool& pool) : pool_(&pool) {}
 
-  ~Mailbox() {
-    // Return any undrained nodes (teardown after a failed run); release()
-    // frees their payloads. The pool outlives the mailbox: the engine
-    // declares its shared pool before the PE contexts, and the owned
-    // fallback is a member destroyed after this body runs.
-    for (Slot& s : slots_) {
-      MsgNode* n = s.head;
-      while (n != nullptr) {
-        MsgNode* next = n->next;
-        pool_->release(n);
-        n = next;
-      }
-    }
-  }
+  /// Returns any undrained nodes (teardown after a failed run) to the pool.
+  ~Mailbox() { drain(); }
 
   Mailbox(const Mailbox&) = delete;
   Mailbox& operator=(const Mailbox&) = delete;
-
-  /// Points the mailbox at a shared node pool (the engine's). Must be
-  /// called before any deposit.
-  void set_node_pool(MsgNodePool* pool) {
-    PMPS_ASSERT(size_ == 0);
-    pool_ = pool;
-  }
 
   /// Deposits `m`. If the owning PE is registered waiting on exactly `m`'s
   /// key, the registration is consumed and `wake()` is invoked — a targeted
@@ -307,15 +287,14 @@ class Mailbox {
     if (woke) wake();
   }
 
-  /// Thread-backend deposit: targeted condition-variable notification.
-  void deposit(Message&& m) {
-    deposit(std::move(m), [this] { cv_.notify_one(); });
-  }
-
-  /// Blocks the calling OS thread until a message matching `key` is present
-  /// and removes it (legacy thread backend and single-PE inline runs).
-  /// Throws RunAborted once the mailbox is poisoned.
-  Message retrieve(const MsgKey& key) {
+  /// Removes and returns the oldest message matching `key`. While none is
+  /// queued it registers `key` and calls `park(lock)` with the mailbox
+  /// locked (`lock` is a std::unique_lock on the mailbox mutex): `park`
+  /// must release the lock, block until the registration is consumed by a
+  /// deposit or poison, and return with the lock held again. Throws
+  /// RunAborted once the mailbox is poisoned.
+  template <typename Park>
+  Message retrieve(const MsgKey& key, Park&& park) {
     std::unique_lock lock(mu_);
     for (;;) {
       if (poisoned_) throw RunAborted{};
@@ -325,33 +304,8 @@ class Mailbox {
       }
       waiting_ = true;
       waiting_key_ = key;
-      cv_.wait(lock);
+      park(lock);
     }
-  }
-
-  /// Fiber-backend retrieve: pops a match if present; otherwise registers
-  /// the waiting key, invokes `on_block()` *under the mailbox lock* (the
-  /// fiber publishes its blocked state there, so a depositor that observes
-  /// the registration can never find it still running) and returns nullopt —
-  /// the caller must then park its fiber and retry once woken.
-  template <typename OnBlock>
-  std::optional<Message> retrieve_or_block(const MsgKey& key,
-                                           OnBlock&& on_block) {
-    MsgNode* n = nullptr;
-    {
-      std::lock_guard lock(mu_);
-      // Poison check under the lock, before registering: the fiber has not
-      // called on_block yet, so it unwinds as a normally running fiber.
-      if (poisoned_) throw RunAborted{};
-      n = pop_locked(key);
-      if (n == nullptr) {
-        waiting_ = true;
-        waiting_key_ = key;
-        on_block();
-        return std::nullopt;
-      }
-    }
-    return take(n);
   }
 
   /// True when no message is queued (used by the engine's end-of-run
@@ -364,7 +318,7 @@ class Mailbox {
   /// Aborts the consumer: marks the mailbox poisoned (every subsequent or
   /// pending retrieve throws RunAborted) and, exactly like deposit, consumes
   /// a waiting registration and invokes `wake()` outside the lock so a
-  /// parked fiber / blocked thread re-checks and unwinds. Idempotent.
+  /// parked consumer re-checks and unwinds. Idempotent.
   template <typename Wake>
   void poison(Wake&& wake) {
     bool woke = false;
@@ -377,11 +331,6 @@ class Mailbox {
       }
     }
     if (woke) wake();
-  }
-
-  /// Thread-backend poison: condition-variable notification.
-  void poison() {
-    poison([this] { cv_.notify_one(); });
   }
 
   /// Clears the poison flag and releases every queued message (payload
@@ -508,9 +457,7 @@ class Mailbox {
   }
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::unique_ptr<MsgNodePool> owned_pool_;  ///< standalone fallback
-  MsgNodePool* pool_;  ///< the engine's shared pool (or owned_pool_)
+  MsgNodePool* pool_;  ///< the engine's pool shard for this PE
   std::vector<Slot> slots_;  ///< open-addressing key table (pow2 size)
   std::size_t used_ = 0;     ///< occupied slots (distinct queued keys)
   std::size_t size_ = 0;     ///< queued messages

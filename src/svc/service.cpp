@@ -44,7 +44,8 @@ JobResult JobHandle::wait() {
 SortService::SortService(ServiceOptions opt)
     : opt_(opt),
       backend_(net::resolve_engine_backend(opt.backend)),
-      queue_(static_cast<std::size_t>(std::max(1, opt.queue_capacity))) {
+      queue_capacity_(
+          static_cast<std::size_t>(std::max(1, opt.queue_capacity))) {
   PMPS_CHECK(opt_.max_in_flight >= 1);
   const int workers = opt_.workers > 0
                           ? opt_.workers
@@ -57,7 +58,7 @@ SortService::SortService(ServiceOptions opt)
   if (backend_ == net::EngineBackend::kFibers) {
     // Eager pool creation: job engines find it via substrate()->pool(), and
     // the spin-up cost is paid once here instead of inside the first job.
-    substrate_->ensure_pool(workers, net::engine_fiber_stack_bytes());
+    substrate_->ensure_pool(workers);
   }
   dispatcher_ = std::thread([this] { dispatcher_main(); });
 }
@@ -78,10 +79,11 @@ JobHandle SortService::submit(JobSpec spec) {
   PMPS_CHECK(job->spec.num_pes >= 1);
   PMPS_CHECK(job->spec.program != nullptr);
   std::unique_lock lock(mu_);
-  space_cv_.wait(lock, [&] { return stop_ || !queue_.full(); });
+  space_cv_.wait(lock,
+                 [&] { return stop_ || queue_.size() < queue_capacity_; });
   PMPS_CHECK_MSG(!stop_, "submit on a stopping SortService");
   job->id = ++next_job_id_;
-  queue_.push(job);
+  queue_.push_back(job);
   ++stats_.submitted;
   cv_.notify_all();
   return JobHandle(job);
@@ -94,9 +96,9 @@ std::optional<JobHandle> SortService::try_submit(JobSpec spec) {
   PMPS_CHECK(job->spec.program != nullptr);
   std::lock_guard lock(mu_);
   PMPS_CHECK_MSG(!stop_, "try_submit on a stopping SortService");
-  if (queue_.full()) return std::nullopt;
+  if (queue_.size() >= queue_capacity_) return std::nullopt;
   job->id = ++next_job_id_;
-  queue_.push(job);
+  queue_.push_back(job);
   ++stats_.submitted;
   cv_.notify_all();
   return JobHandle(job);
@@ -150,7 +152,8 @@ void SortService::dispatcher_main() {
 
     if (stop_) {
       while (!queue_.empty()) {
-        auto job = queue_.pop();
+        auto job = std::move(queue_.front());
+        queue_.pop_front();
         lock.unlock();
         cancel_unadmitted(job, "service shutdown");
         lock.lock();
@@ -164,7 +167,8 @@ void SortService::dispatcher_main() {
     std::vector<std::shared_ptr<detail::JobContext>> batch;
     while (!paused_ && !queue_.empty() &&
            in_flight_ < opt_.max_in_flight) {
-      batch.push_back(queue_.pop());
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
       ++in_flight_;
     }
     if (!batch.empty()) {

@@ -27,7 +27,10 @@
 
 #pragma once
 
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -35,7 +38,6 @@
 #include <vector>
 
 #include "svc/job.hpp"
-#include "svc/job_queue.hpp"
 
 namespace pmps::svc {
 
@@ -126,7 +128,10 @@ class SortService {
   std::condition_variable cv_;        ///< dispatcher wakeups
   std::condition_variable space_cv_;  ///< submitters waiting for queue space
   std::condition_variable idle_cv_;   ///< wait_idle waiters
-  JobQueue queue_;
+  /// Bounded FIFO admission queue of at most queue_capacity_ (≥ 1) jobs,
+  /// guarded by mu_ like the in-flight accounting admission reads.
+  std::deque<std::shared_ptr<detail::JobContext>> queue_;
+  std::size_t queue_capacity_;
   std::vector<std::shared_ptr<detail::JobContext>> done_;  ///< awaiting finalize
   int in_flight_ = 0;
   bool paused_ = false;

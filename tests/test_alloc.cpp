@@ -27,8 +27,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <new>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -110,7 +112,8 @@ std::int64_t count_allocs(Body&& body) {
 // ---------------------------------------------------------------------------
 
 TEST(AllocCount, SendDepositRetrievePathIsAllocationFreeWhenWarm) {
-  net::Mailbox mb;
+  net::MsgNodePool nodes;
+  net::Mailbox mb(nodes);
   net::BufferPool pool;
   constexpr std::size_t kBytes = 192;
 
@@ -122,10 +125,14 @@ TEST(AllocCount, SendDepositRetrievePathIsAllocationFreeWhenWarm) {
     m.src_pe = src;
     m.payload = pool.acquire(kBytes);
     m.payload.assign(kBytes, std::byte{0x5a});
-    mb.deposit(std::move(m));
+    mb.deposit(std::move(m), [] { ADD_FAILURE() << "woke with no waiter"; });
   };
   const auto recv = [&](std::uint64_t tag, int src) {
-    Message m = mb.retrieve(MsgKey{1, tag, src});
+    // Every key is queued before it is retrieved, so nothing parks.
+    Message m = mb.retrieve(MsgKey{1, tag, src},
+                            [](std::unique_lock<std::mutex>&) {
+                              throw std::logic_error("parked on a queued key");
+                            });
     pool.release(std::move(m.payload));
   };
 

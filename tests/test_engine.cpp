@@ -483,16 +483,24 @@ TEST(Engine, CleanModelGoldensHoldWithFastForwardDisabled) {
 }
 
 TEST(Engine, ThreadsBackendRefusesHugePeCounts) {
-  // One OS thread per PE cannot scale to paper-scale p; the engine must
-  // refuse with a clear error instead of exhausting the process.
-  setenv("PMPS_THREADS_MAX_P", "4", 1);
-  Engine engine(8, MachineParams::supermuc_like(), /*seed=*/1,
-                EngineBackend::kThreads);
-  EXPECT_THROW(engine.run([](Comm&) {}), std::runtime_error);
-  unsetenv("PMPS_THREADS_MAX_P");
-  // Under the cap the same engine runs fine.
+  // One OS thread per PE cannot scale to paper-scale p; above its cap of
+  // 4096 the engine must refuse with a clear error, before it starts any
+  // thread, instead of exhausting the process.
   std::atomic<int> count{0};
-  engine.run([&](Comm&) { count.fetch_add(1); });
+  Engine huge(4097, MachineParams::supermuc_like(), /*seed=*/1,
+              EngineBackend::kThreads);
+  try {
+    huge.run([&](Comm&) { count.fetch_add(1); });
+    ADD_FAILURE() << "p = 4097 ran on the thread backend";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("p=4097"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(count.load(), 0);
+  // Under the cap a thread-backend engine runs fine.
+  Engine small(8, MachineParams::supermuc_like(), /*seed=*/1,
+               EngineBackend::kThreads);
+  small.run([&](Comm&) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
 }
 
@@ -652,15 +660,6 @@ TEST(RuntimeKnobs, EngineAcceptsOnlyThreadsOrFibers) {
   run_small(EngineBackend::kAuto);
 }
 
-TEST(RuntimeKnobs, FiberStackKbNeedsAnIntegerOfAtLeast64) {
-  if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
-  for (const char* bad : {"63", "0", "abc", "128k", ""})
-    expect_rejected("PMPS_FIBER_STACK_KB", bad,
-                    [] { run_small(EngineBackend::kFibers); });
-  test_support::ScopedEnv env("PMPS_FIBER_STACK_KB", "64");
-  run_small(EngineBackend::kFibers);
-}
-
 TEST(RuntimeKnobs, FiberWorkersNeedsAPositiveInteger) {
   if (!fibers_supported()) GTEST_SKIP() << "no fiber backend on this platform";
   for (const char* bad : {"0", "-1", "two", "1.5"})
@@ -670,14 +669,6 @@ TEST(RuntimeKnobs, FiberWorkersNeedsAPositiveInteger) {
     test_support::ScopedEnv env("PMPS_FIBER_WORKERS", good);
     run_small(EngineBackend::kFibers);
   }
-}
-
-TEST(RuntimeKnobs, ThreadsMaxPNeedsAPositiveInteger) {
-  for (const char* bad : {"0", "-4", "4096x"})
-    expect_rejected("PMPS_THREADS_MAX_P", bad,
-                    [] { run_small(EngineBackend::kThreads); });
-  test_support::ScopedEnv env("PMPS_THREADS_MAX_P", "4");
-  run_small(EngineBackend::kThreads);
 }
 
 TEST(RuntimeKnobs, FiberGuardedStacksNeedsANonNegativeInteger) {

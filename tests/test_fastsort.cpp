@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/math.hpp"
@@ -115,9 +117,13 @@ INSTANTIATE_TEST_SUITE_P(GridAndFallback, FastSortP,
 /// the grid finds some, for p and the bucket count b·r.
 struct AmsShape {
   int p;
+  std::int32_t unused = 0;  ///< fills the padding after p
   std::int64_t buckets;
   std::int64_t n_per_pe;
 };
+// gtest names each case by printing its raw bytes: padding bytes would put
+// garbage into the name and make the CTest list differ from run to run.
+static_assert(std::has_unique_object_representations_v<AmsShape>);
 
 class FastSortAmsShape : public ::testing::TestWithParam<AmsShape> {};
 
@@ -135,9 +141,11 @@ TEST_P(FastSortAmsShape, SelectsEveryColumnsSplittersWithDuplicates) {
 
 // 255 ranks at p = 16, 1023 at p = 64 and at p = 256.
 INSTANTIATE_TEST_SUITE_P(Splitters, FastSortAmsShape,
-                         ::testing::Values(AmsShape{16, 256, 64},
-                                           AmsShape{64, 1024, 32},
-                                           AmsShape{256, 1024, 16}),
+                         ::testing::Values(
+                             AmsShape{.p = 16, .buckets = 256, .n_per_pe = 64},
+                             AmsShape{.p = 64, .buckets = 1024, .n_per_pe = 32},
+                             AmsShape{.p = 256, .buckets = 1024,
+                                      .n_per_pe = 16}),
                          [](const auto& info) {
                            return std::string("p").append(
                                std::to_string(info.param.p));

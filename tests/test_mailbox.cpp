@@ -1,11 +1,15 @@
 // Tests for the hash-matched mailbox: out-of-order and bulk deposits,
-// same-key FIFO order, targeted (non-broadcast) wakeup, and the fiber-side
-// register/park protocol.
+// same-key FIFO order, targeted (non-broadcast) wakeup, and the
+// register/park protocol that Engine::park and Engine::wake drive.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <semaphore>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -35,90 +39,153 @@ std::uint64_t value_of(const Message& m) {
   return v;
 }
 
-TEST(Mailbox, RetrievesOutOfDepositOrder) {
-  Mailbox mb;
-  // Deposit in an order unrelated to the retrieval order.
-  mb.deposit(make_msg(1, 30, 2, 300));
-  mb.deposit(make_msg(1, 10, 0, 100));
-  mb.deposit(make_msg(2, 10, 0, 999));  // same tag/src, different comm
-  mb.deposit(make_msg(1, 20, 1, 200));
+/// Deposit with no consumer waiting: a wake here is a failure.
+void put(Mailbox& mb, Message&& m) {
+  mb.deposit(std::move(m), [] { ADD_FAILURE() << "woke with no waiter"; });
+}
 
-  EXPECT_EQ(value_of(mb.retrieve(MsgKey{1, 10, 0})), 100u);
-  EXPECT_EQ(value_of(mb.retrieve(MsgKey{2, 10, 0})), 999u);
-  EXPECT_EQ(value_of(mb.retrieve(MsgKey{1, 30, 2})), 300u);
-  EXPECT_EQ(value_of(mb.retrieve(MsgKey{1, 20, 1})), 200u);
+/// Retrieve of a key that is already queued: a park here is a failure.
+Message take(Mailbox& mb, const MsgKey& key) {
+  return mb.retrieve(key, [](std::unique_lock<std::mutex>&) {
+    throw std::logic_error("retrieve parked on a queued key");
+  });
+}
+
+TEST(Mailbox, RetrievesOutOfDepositOrder) {
+  MsgNodePool pool;
+  Mailbox mb(pool);
+  // Deposit in an order unrelated to the retrieval order.
+  put(mb, make_msg(1, 30, 2, 300));
+  put(mb, make_msg(1, 10, 0, 100));
+  put(mb, make_msg(2, 10, 0, 999));  // same tag/src, different comm
+  put(mb, make_msg(1, 20, 1, 200));
+
+  EXPECT_EQ(value_of(take(mb, MsgKey{1, 10, 0})), 100u);
+  EXPECT_EQ(value_of(take(mb, MsgKey{2, 10, 0})), 999u);
+  EXPECT_EQ(value_of(take(mb, MsgKey{1, 30, 2})), 300u);
+  EXPECT_EQ(value_of(take(mb, MsgKey{1, 20, 1})), 200u);
   EXPECT_TRUE(mb.empty());
 }
 
 TEST(Mailbox, BulkDepositsThenRetrieveAll) {
   // A bulk backlog (every PE deposits before the owner drains anything —
   // the situation the old linear scan degraded on) must match exactly.
-  Mailbox mb;
+  MsgNodePool pool;
+  Mailbox mb(pool);
   const int kSenders = 64, kTags = 8;
   for (int src = kSenders - 1; src >= 0; --src)
     for (int t = kTags - 1; t >= 0; --t)
-      mb.deposit(make_msg(7, static_cast<std::uint64_t>(t), src,
-                          static_cast<std::uint64_t>(src * 1000 + t)));
+      put(mb, make_msg(7, static_cast<std::uint64_t>(t), src,
+                       static_cast<std::uint64_t>(src * 1000 + t)));
   EXPECT_FALSE(mb.empty());
   for (int src = 0; src < kSenders; ++src)
     for (int t = 0; t < kTags; ++t)
-      EXPECT_EQ(value_of(mb.retrieve(MsgKey{7, static_cast<std::uint64_t>(t),
-                                            src})),
+      EXPECT_EQ(value_of(take(mb, MsgKey{7, static_cast<std::uint64_t>(t),
+                                         src})),
                 static_cast<std::uint64_t>(src * 1000 + t));
   EXPECT_TRUE(mb.empty());
 }
 
 TEST(Mailbox, SameKeyMessagesKeepFifoOrder) {
-  Mailbox mb;
-  for (std::uint64_t v = 0; v < 5; ++v) mb.deposit(make_msg(1, 4, 2, v));
+  MsgNodePool pool;
+  Mailbox mb(pool);
+  for (std::uint64_t v = 0; v < 5; ++v) put(mb, make_msg(1, 4, 2, v));
   for (std::uint64_t v = 0; v < 5; ++v)
-    EXPECT_EQ(value_of(mb.retrieve(MsgKey{1, 4, 2})), v);
+    EXPECT_EQ(value_of(take(mb, MsgKey{1, 4, 2})), v);
 }
 
 TEST(Mailbox, BlockedRetrieveWokenByMatchingDepositOnly) {
-  Mailbox mb;
+  // A real consumer thread parked on a semaphore, as Engine::park parks a
+  // PE's OS thread when no fiber run is in flight.
+  MsgNodePool pool;
+  Mailbox mb(pool);
+  std::binary_semaphore sem{0};
   std::uint64_t got = 0;
-  std::thread consumer([&] { got = value_of(mb.retrieve(MsgKey{1, 2, 3})); });
+  std::thread consumer([&] {
+    got = value_of(
+        mb.retrieve(MsgKey{1, 2, 3}, [&](std::unique_lock<std::mutex>& lock) {
+          lock.unlock();
+          sem.acquire();
+          lock.lock();
+        }));
+  });
+  const auto wake = [&] { sem.release(); };
   // Non-matching deposits must not satisfy the retrieve.
-  mb.deposit(make_msg(1, 2, 4, 111));
-  mb.deposit(make_msg(1, 9, 3, 222));
+  mb.deposit(make_msg(1, 2, 4, 111), wake);
+  mb.deposit(make_msg(1, 9, 3, 222), wake);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  mb.deposit(make_msg(1, 2, 3, 333));
+  mb.deposit(make_msg(1, 2, 3, 333), wake);
   consumer.join();
   EXPECT_EQ(got, 333u);
   EXPECT_FALSE(mb.empty());  // the two non-matching messages remain
 }
 
 TEST(Mailbox, RetrieveOrBlockProtocol) {
-  Mailbox mb;
-  // Miss: registers the key and reports the block via the callback.
-  bool on_block_called = false;
-  auto miss = mb.retrieve_or_block(MsgKey{1, 2, 3},
-                                   [&] { on_block_called = true; });
-  EXPECT_FALSE(miss.has_value());
-  EXPECT_TRUE(on_block_called);
+  MsgNodePool pool;
+  Mailbox mb(pool);
+  int parks = 0, wakes = 0;
+  const auto count_wake = [&] { ++wakes; };
+  // Miss: the retrieve registers its key and parks. While it is parked the
+  // deposits below stand in for another PE: the matching one consumes the
+  // registration and wakes it, exactly once.
+  const Message got =
+      mb.retrieve(MsgKey{1, 2, 3}, [&](std::unique_lock<std::mutex>& lock) {
+        if (++parks > 1) throw std::logic_error("parked twice");
+        lock.unlock();
+        mb.deposit(make_msg(1, 2, 3, 42), count_wake);  // the registered key
+        EXPECT_EQ(wakes, 1);
+        mb.deposit(make_msg(1, 2, 3, 43), count_wake);  // no waiter any more
+        EXPECT_EQ(wakes, 1);
+        lock.lock();
+      });
+  EXPECT_EQ(parks, 1);
+  EXPECT_EQ(value_of(got), 42u);
 
-  // The matching deposit consumes the registration exactly once.
-  int wakes = 0;
-  mb.deposit(make_msg(1, 2, 3, 42), [&] { ++wakes; });
+  // Hit: the queued message comes back without parking.
+  EXPECT_EQ(value_of(take(mb, MsgKey{1, 2, 3})), 43u);
   EXPECT_EQ(wakes, 1);
-  mb.deposit(make_msg(1, 2, 3, 43), [&] { ++wakes; });
-  EXPECT_EQ(wakes, 1);  // no waiter registered any more
-
-  // Hit: returns the message without touching the callback.
-  auto hit = mb.retrieve_or_block(MsgKey{1, 2, 3}, [&] { FAIL(); });
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(value_of(*hit), 42u);
 }
 
 TEST(Mailbox, NonMatchingDepositDoesNotWakeRegisteredWaiter) {
-  Mailbox mb;
-  (void)mb.retrieve_or_block(MsgKey{1, 2, 3}, [] {});
-  int wakes = 0;
-  mb.deposit(make_msg(9, 9, 9, 1), [&] { ++wakes; });  // different key
-  EXPECT_EQ(wakes, 0);
-  mb.deposit(make_msg(1, 2, 3, 2), [&] { ++wakes; });  // the registered key
+  MsgNodePool pool;
+  Mailbox mb(pool);
+  int parks = 0, wakes = 0;
+  const auto count_wake = [&] { ++wakes; };
+  const Message got =
+      mb.retrieve(MsgKey{1, 2, 3}, [&](std::unique_lock<std::mutex>& lock) {
+        if (++parks > 1) throw std::logic_error("parked twice");
+        lock.unlock();
+        mb.deposit(make_msg(9, 9, 9, 1), count_wake);  // different key
+        mb.deposit(make_msg(1, 2, 4, 2), count_wake);  // different source
+        EXPECT_EQ(wakes, 0);
+        mb.deposit(make_msg(1, 2, 3, 3), count_wake);  // the registered key
+        EXPECT_EQ(wakes, 1);
+        lock.lock();
+      });
+  EXPECT_EQ(parks, 1);
+  EXPECT_EQ(value_of(got), 3u);
+  EXPECT_FALSE(mb.empty());  // the two non-matching messages remain
+}
+
+TEST(Mailbox, PoisonWakesParkedConsumerOnceAndRetrieveThrows) {
+  MsgNodePool pool;
+  Mailbox mb(pool);
+  int parks = 0, wakes = 0;
+  const auto count_wake = [&] { ++wakes; };
+  EXPECT_THROW(
+      mb.retrieve(MsgKey{1, 2, 3},
+                  [&](std::unique_lock<std::mutex>& lock) {
+                    if (++parks > 1) throw std::logic_error("parked twice");
+                    lock.unlock();
+                    mb.poison(count_wake);
+                    mb.poison(count_wake);  // registration already consumed
+                    lock.lock();
+                  }),
+      RunAborted);
+  EXPECT_EQ(parks, 1);
   EXPECT_EQ(wakes, 1);
+  // A poisoned mailbox throws before it registers, so it never parks.
+  EXPECT_THROW(take(mb, MsgKey{1, 2, 3}), RunAborted);
 }
 
 // ---------------------------------------------------------------------------
@@ -129,19 +196,20 @@ TEST(Mailbox, ManyConcurrentKeysGrowTableAndDrainExactly) {
   // Far more simultaneously queued keys than the initial table: the
   // open-addressing store must grow with messages pending and still match
   // every key exactly afterwards.
-  Mailbox mb;
+  MsgNodePool pool;
+  Mailbox mb(pool);
   const int kKeys = 1000;
   for (int k = 0; k < kKeys; ++k)
-    mb.deposit(make_msg(3, static_cast<std::uint64_t>(k * 7), k % 97,
-                        static_cast<std::uint64_t>(k)));
+    put(mb, make_msg(3, static_cast<std::uint64_t>(k * 7), k % 97,
+                     static_cast<std::uint64_t>(k)));
   EXPECT_FALSE(mb.empty());
   // Retrieve in an order unrelated to deposit order (stride walk), so the
   // backward-shift deletion runs against a well-populated table.
   for (int i = 0; i < kKeys; ++i) {
     const int k = static_cast<int>(
         (static_cast<std::uint64_t>(i) * 389) % kKeys);
-    EXPECT_EQ(value_of(mb.retrieve(
-                  MsgKey{3, static_cast<std::uint64_t>(k * 7), k % 97})),
+    EXPECT_EQ(value_of(take(
+                  mb, MsgKey{3, static_cast<std::uint64_t>(k * 7), k % 97})),
               static_cast<std::uint64_t>(k));
   }
   EXPECT_TRUE(mb.empty());  // drained: no leaked nodes or ghost slots
@@ -151,30 +219,31 @@ TEST(Mailbox, InterleavedChurnKeepsPerKeyFifoAcrossNodeReuse) {
   // Deposit/retrieve interleaving recycles nodes through the pool while
   // other keys stay queued; FIFO order per key must survive the churn and
   // repeated slot erase/reinsert of the same keys.
-  Mailbox mb;
+  MsgNodePool pool;
+  Mailbox mb(pool);
   std::uint64_t next_put[4] = {0, 0, 0, 0};
   std::uint64_t next_get[4] = {0, 0, 0, 0};
-  const auto put = [&](int key) {
-    mb.deposit(make_msg(5, static_cast<std::uint64_t>(key), key,
-                        next_put[key]++));
+  const auto send = [&](int key) {
+    put(mb, make_msg(5, static_cast<std::uint64_t>(key), key,
+                     next_put[key]++));
   };
-  const auto get = [&](int key) {
-    EXPECT_EQ(value_of(mb.retrieve(MsgKey{5, static_cast<std::uint64_t>(key),
-                                          key})),
+  const auto recv = [&](int key) {
+    EXPECT_EQ(value_of(take(mb, MsgKey{5, static_cast<std::uint64_t>(key),
+                                       key})),
               next_get[key]++);
   };
   for (int round = 0; round < 200; ++round) {
-    put(round % 4);
-    put((round + 1) % 4);
-    get(round % 4);          // often empties the key's slot …
-    put(round % 4);          // … which is then immediately re-inserted
-    get((round + 1) % 4);
-    get(round % 4);
+    send(round % 4);
+    send((round + 1) % 4);
+    recv(round % 4);  // often empties the key's slot …
+    send(round % 4);  // … which is then immediately re-inserted
+    recv((round + 1) % 4);
+    recv(round % 4);
   }
   EXPECT_TRUE(mb.empty());
   // The store stays fully usable after total drain.
-  put(2);
-  get(2);
+  send(2);
+  recv(2);
   EXPECT_TRUE(mb.empty());
 }
 
@@ -245,10 +314,11 @@ TEST(Mailbox, TeardownWithQueuedMessagesReleasesNodes) {
   // A mailbox destroyed with undrained messages (failed run teardown) must
   // hand its nodes back without touching freed payloads — this test is a
   // crash/asan regression more than an assertion.
-  auto mb = std::make_unique<Mailbox>();
+  MsgNodePool pool;
+  auto mb = std::make_unique<Mailbox>(pool);
   for (int i = 0; i < 300; ++i)
-    mb->deposit(make_msg(1, static_cast<std::uint64_t>(i), 0,
-                         static_cast<std::uint64_t>(i)));
+    put(*mb, make_msg(1, static_cast<std::uint64_t>(i), 0,
+                      static_cast<std::uint64_t>(i)));
   EXPECT_FALSE(mb->empty());
   mb.reset();  // must not leak or double-free
 }

@@ -344,8 +344,7 @@ TEST(Engine, WorldCommNamespaceIsTimingNeutral) {
   auto substrate = std::make_shared<net::EngineSubstrate>(
       net::engine_fiber_workers(16));
   if (net::resolve_engine_backend() == net::EngineBackend::kFibers)
-    substrate->ensure_pool(net::engine_fiber_workers(16),
-                           net::engine_fiber_stack_bytes());
+    substrate->ensure_pool(net::engine_fiber_workers(16));
 
   RunConfig cfg;
   cfg.algorithm = Algorithm::kAms;
