@@ -8,12 +8,13 @@
 // (docs/DESIGN.md §13); bcast, reduce and exscan_add ship the whole vector
 // on each of their ⌈log2 p⌉ rounds.
 //
-// On a clean network barrier, bcast, the short allreduce, exscan_add and
-// sparse_exchange send no messages: the members meet in one engine
-// rendezvous, and the last to arrive replays the schedule for all of them,
-// bit-identical in virtual time, statistics and values (docs/DESIGN.md
-// §11, §14, §16). There, bcast's root and exscan_add's rank 0 wait for
-// every member, so every caller must reach them in SPMD lockstep.
+// On a clean network barrier, bcast, the short allreduce, exscan_add,
+// allgather_merge and sparse_exchange send no messages: the members meet in
+// one engine rendezvous, and the last to arrive replays the schedule for
+// all of them, bit-identical in virtual time, statistics and values
+// (docs/DESIGN.md §11, §14, §16). There, bcast's root and exscan_add's
+// rank 0 wait for every member, so every caller must reach them in SPMD
+// lockstep.
 //
 // The irregular collectives are *flat-buffer* APIs, the shape real MPI
 // specifies them in (one contiguous buffer plus counts/displacements):
@@ -44,7 +45,8 @@
 //                            combine step (the modified allGather of §4.2);
 //                            the hypercube meets its farthest partner
 //                            first, so the doubling runs cross the nearest,
-//                            cheapest links (docs/DESIGN.md §15)
+//                            cheapest links (docs/DESIGN.md §15); replayed,
+//                            merging each subcube once
 //   alltoallv              — dense irregular exchange over (sendbuf, counts);
 //                            Schedule::kDirect posts every pair (p−1
 //                            startups, like mpich), Schedule::kOneFactor
@@ -66,7 +68,9 @@
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -136,6 +140,12 @@ class Replay {
   }
   void posted_recv(int dst, int src, std::size_t bytes) const {
     recv(dst, src, bytes, scratch(dst).ff_arrival);
+  }
+  /// Charges rank `rank` for `seconds` of local computation, as
+  /// Comm::charge charges it.
+  void charge(int rank, double seconds) const {
+    net::PeContext& c = ctx(rank);
+    c.advance(seconds * c.dilation);
   }
 
  private:
@@ -213,25 +223,32 @@ T one(T value, VecOp&& op) {
 
 namespace detail {
 
-/// Replay of bcast's binomial tree from `root`, rounds from distance top/2
-/// down to 1 (top = next_pow2(p)) in virtual ranks (root = 0). A round's
-/// senders, the multiples of 2m, already hold the data and its receivers
-/// do not yet, so no member both sends and receives in one round, and each
-/// edge is charged send-then-receive. Every receiver gets the root's vector.
-template <Sortable T>
-void replay_bcast(const Replay& ff, int root) {
+/// The charges of bcast's binomial tree from `root` for a vector of
+/// `bytes`, rounds from distance top/2 down to 1 (top = next_pow2(p)) in
+/// virtual ranks (root = 0). A round's senders, the multiples of 2m,
+/// already hold the data and its receivers do not yet, so no member both
+/// sends and receives in one round, and each edge is charged
+/// send-then-receive.
+inline void charge_bcast(const Replay& ff, int root, std::size_t bytes) {
   const int p = ff.size();
-  const std::vector<T>& data = ff.out<T>(root);
-  const std::size_t bytes = data.size() * sizeof(T);
   for (int m = static_cast<int>(next_pow2(static_cast<std::uint64_t>(p)) / 2);
        m >= 1; m /= 2) {
     for (int v = 0; v + m < p; v += 2 * m) {
       const int src = (v + root) % p;
       const int dst = (v + m + root) % p;
       ff.recv(dst, src, bytes, ff.send(src, dst, bytes));
-      ff.out<T>(dst) = data;
     }
   }
+}
+
+/// Replay of bcast: its charges, then every other member gets the root's
+/// vector.
+template <Sortable T>
+void replay_bcast(const Replay& ff, int root) {
+  const std::vector<T>& data = ff.out<T>(root);
+  charge_bcast(ff, root, data.size() * sizeof(T));
+  for (int r = 0; r < ff.size(); ++r)
+    if (r != root) ff.out<T>(r) = data;
 }
 
 }  // namespace detail
@@ -432,9 +449,8 @@ void replay_allreduce(const Replay& ff, Op& op) {
       const std::size_t bytes = part.size() * sizeof(T);
       ff.recv(dst, src, bytes, ff.send(src, dst, bytes));
       PMPS_CHECK(part.size() == acc.size());
-      net::PeContext& r = ff.ctx(dst);  // charged as Comm::charge does
-      r.advance(machine.compare_cost_n(static_cast<std::int64_t>(acc.size())) *
-                r.dilation);
+      ff.charge(dst,
+                machine.compare_cost_n(static_cast<std::int64_t>(acc.size())));
       for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(acc[i], part[i]);
     }
   }
@@ -652,24 +668,120 @@ FlatParts<T> allgatherv(Comm& comm, std::span<const T> local) {
 // allgather-merge (the gossip of §4.2)
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Merges two sorted runs into a new one, `lower`'s elements first among
+/// equals: the gossip's tie order. Both paths put the lower-rank half on
+/// the left, so every member ends with the same bytes even when `less`
+/// ties distinguishable elements.
+template <typename T, typename Less>
+std::vector<T> merge_runs(std::span<const T> lower, std::span<const T> upper,
+                          Less& less) {
+  std::vector<T> out;
+  out.reserve(lower.size() + upper.size());
+  std::merge(lower.begin(), lower.end(), upper.begin(), upper.end(),
+             std::back_inserter(out), less);
+  return out;
+}
+
+/// Replay of allgather_merge on the members' runs (each posted as a
+/// std::span<const T>), merging each subcube once instead of once per
+/// member. run[c] is what rank c holds (in the hypercube, every member of
+/// class c); held[c] owns it once c has merged.
+///
+/// Hypercube: before the round at distance s every member of class
+/// c = rank mod 2s holds the same run, and the round merges class c with
+/// class c + s for every c < s — N·log2 p elements merged in all, against
+/// about 2N on each of the p members on messages. Each round charges every
+/// send, in rank order, then every receive, each followed by its
+/// receiver's merge of both runs, as replay_barrier does.
+///
+/// Other sizes: the merging binomial gather to rank 0, edge by edge as in
+/// replay_allreduce's reduce, then bcast's charges for the merged run.
+///
+/// Every member gets the merged run as one shared vector in ff_shared.
+template <Sortable T, typename Less>
+void replay_allgather_merge(const Replay& ff, Less& less) {
+  const int p = ff.size();
+  const auto& machine = ff.machine();
+  std::vector<std::span<const T>> run(static_cast<std::size_t>(p));
+  std::vector<std::vector<T>> held(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r)
+    run[r] = *static_cast<const std::span<const T>*>(ff.scratch(r).ff_out);
+  const auto bytes = [&run](int c) { return run[c].size() * sizeof(T); };
+  const auto charge_merge = [&](int rank, std::size_t n) {
+    ff.charge(rank, machine.merge_cost(static_cast<std::int64_t>(n), 2));
+  };
+  const auto merge_pair = [&](int lower, int upper) {
+    held[lower] = merge_runs(run[lower], run[upper], less);
+    run[lower] = held[lower];
+    held[upper] = std::vector<T>();
+    run[upper] = {};
+  };
+  if (is_pow2(p)) {
+    for (int s = p / 2; s >= 1; s /= 2) {
+      const auto cls = [s](int rank) { return rank % (2 * s); };
+      for (int i = 0; i < p; ++i) ff.post_send(i, i ^ s, bytes(cls(i)));
+      for (int i = 0; i < p; ++i) {
+        ff.posted_recv(i, i ^ s, bytes(cls(i ^ s)));
+        charge_merge(i, run[cls(i)].size() + run[cls(i ^ s)].size());
+      }
+      for (int c = 0; c < s; ++c) merge_pair(c, c + s);
+    }
+  } else {
+    for (int step = 1; step < p; step <<= 1) {
+      for (int dst = 0; dst + step < p; dst += 2 * step) {
+        const int src = dst + step;
+        ff.recv(dst, src, bytes(src), ff.send(src, dst, bytes(src)));
+        charge_merge(dst, run[dst].size() + run[src].size());
+        merge_pair(dst, src);
+      }
+    }
+    charge_bcast(ff, 0, bytes(0));
+  }
+  const auto merged =
+      std::make_shared<const std::vector<T>>(std::move(held[0]));
+  for (int r = 0; r < p; ++r) ff.scratch(r).ff_shared = merged;
+}
+
+}  // namespace detail
+
 /// All-gather of locally *sorted* runs where combining merges instead of
 /// concatenating, so every intermediate and the final result are sorted.
 /// Power-of-two sizes use the hypercube gossip the paper cites from [21],
 /// from distance p/2 down to 1: each round doubles the run, so the largest
 /// runs go to the nearest partners, which on a hierarchical machine share
 /// a node. Other sizes fall back to a merging binomial gather plus
-/// broadcast (footnote 3 of the paper).
+/// broadcast (footnote 3 of the paper). Every merge puts the lower ranks'
+/// run first among equals, so every member returns the same bytes.
+///
+/// Fast-forwarded on a clean network (detail::replay_allgather_merge): the
+/// last arriver merges with its own `less`, so `less` must be the same
+/// function on every member, and hands every member one shared merged run,
+/// which each copies out on its own worker. Copying it into every member's
+/// vector on the last arriver's worker instead would grow that worker's
+/// malloc arena to the largest burst it ever served.
 template <Sortable T, typename Less = std::less<T>>
 std::vector<T> allgather_merge(Comm& comm, std::span<const T> local_sorted,
                                Less less = {}) {
   const int p = comm.size();
-  std::vector<T> cur(local_sorted.begin(), local_sorted.end());
-  PMPS_ASSERT(std::is_sorted(cur.begin(), cur.end(), less));
-  if (p == 1) return cur;
+  PMPS_ASSERT(std::is_sorted(local_sorted.begin(), local_sorted.end(), less));
+  if (p == 1) return std::vector<T>(local_sorted.begin(), local_sorted.end());
+  if (comm.engine().coll_ff_enabled()) {
+    net::CollScratch& scratch = comm.ctx().coll_scratch;
+    scratch.ff_out = &local_sorted;
+    comm.rendezvous(net::RendezvousKind::kReplay, [&comm, &less] {
+      detail::replay_allgather_merge<T>(detail::Replay(comm), less);
+    });
+    const auto merged = std::static_pointer_cast<const std::vector<T>>(
+        std::exchange(scratch.ff_shared, nullptr));
+    return *merged;
+  }
 
-  auto merge2 = [&comm, &less](std::vector<T>& a, std::vector<T>& b) {
-    std::vector<T> out(a.size() + b.size());
-    std::merge(a.begin(), a.end(), b.begin(), b.end(), out.begin(), less);
+  std::vector<T> cur(local_sorted.begin(), local_sorted.end());
+  const auto merge2 = [&comm, &less](std::span<const T> lower,
+                                     std::span<const T> upper) {
+    std::vector<T> out = detail::merge_runs(lower, upper, less);
     comm.charge(comm.machine().merge_cost(
         static_cast<std::int64_t>(out.size()), 2));
     return out;
@@ -681,9 +793,9 @@ std::vector<T> allgather_merge(Comm& comm, std::span<const T> local_sorted,
       const int partner = comm.rank() ^ step;
       comm.send<T>(partner, tag + static_cast<std::uint64_t>(round),
                    std::span<const T>(cur));
-      auto other =
+      const auto other =
           comm.recv<T>(partner, tag + static_cast<std::uint64_t>(round));
-      cur = merge2(cur, other);
+      cur = (comm.rank() & step) != 0 ? merge2(other, cur) : merge2(cur, other);
     }
     return cur;
   }
@@ -698,7 +810,7 @@ std::vector<T> allgather_merge(Comm& comm, std::span<const T> local_sorted,
       break;
     }
     if (vrank + step < p) {
-      auto other = comm.recv<T>(
+      const auto other = comm.recv<T>(
           vrank + step, tag + static_cast<std::uint64_t>(vrank + step));
       cur = merge2(cur, other);
     }

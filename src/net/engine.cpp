@@ -147,6 +147,7 @@ void Engine::prepare_run() {
     // mailboxes. Cells of a clean run end each generation at arrived == 0.
     std::lock_guard lock(rv_mu_);
     for (auto& [id, cell] : rv_cells_) {
+      std::lock_guard cell_lock(cell->mu);
       cell->arrived = 0;
       cell->aborted = false;
       cell->parked_pes.clear();
@@ -264,11 +265,13 @@ void Engine::abort_run(const std::string& why, double at_time, int pe) {
   }
   // Poison the rendezvous board first: members parked in a rendezvous
   // have no mailbox registration, so the mailbox poison below would never
-  // reach them. Wakes target this engine's PEs only, so a service-side
-  // abort never touches sibling jobs.
+  // reach them. Each cell is poisoned under its own lock, so a replay in
+  // progress finishes before its members can be woken. Wakes target this
+  // engine's PEs only, so a service-side abort never touches sibling jobs.
   {
     std::lock_guard lock(rv_mu_);
     for (auto& [id, cell] : rv_cells_) {
+      std::lock_guard cell_lock(cell->mu);
       cell->aborted = true;
       for (const int pe : cell->parked_pes) wake(pe);
       cell->parked_pes.clear();
@@ -316,12 +319,15 @@ Message Engine::retrieve_message(PeContext& ctx, const MsgKey& key) {
       });
 }
 
-Engine::RendezvousCell& Engine::rv_cell_locked(std::uint64_t comm_id,
-                                               int size) {
+Engine::RendezvousCell& Engine::rv_cell(std::uint64_t comm_id, int size) {
+  std::lock_guard lock(rv_mu_);
   auto it = rv_cells_.find(comm_id);
   if (it == rv_cells_.end()) {
     auto cell = std::make_unique<RendezvousCell>();
     cell->size = size;
+    // abort_run sets failed_ before it sweeps the board under rv_mu_, so a
+    // cell its sweep did not see is created with failed_ already set.
+    cell->aborted = failed_.load(std::memory_order_acquire);
     cell->parked_pes.reserve(static_cast<std::size_t>(size));
     it = rv_cells_.emplace(comm_id, std::move(cell)).first;
   }
@@ -334,14 +340,14 @@ void Engine::rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
   const std::uint64_t gen0 = cell.gen;
   // A rendezvous park is the long-lived collective wait: the whole phase
   // blocks here, so a fiber's worker reclaims its cold stack span. The
-  // registration (parked_pes) happens under rv_mu_, exactly like a mailbox
-  // wait registration under the mailbox lock, so a releasing or aborting
-  // peer can never miss us. Each wake consumes the registration, so a
-  // member woken by an abort it defers takes rv_mu_ again and registers
-  // again before parking again. Released is checked before aborted: a
-  // member released just before an abort must still return, because the
-  // bulk exchange's readers rely on every released member reaching its
-  // closing barrier.
+  // registration (parked_pes) happens under the cell's lock, exactly like a
+  // mailbox wait registration under the mailbox lock, so a releasing or
+  // aborting peer can never miss us. Each wake consumes the registration,
+  // so a member woken by an abort it defers takes the cell's lock again and
+  // registers again before parking again. Released is checked before
+  // aborted: a member released just before an abort must still return,
+  // because the bulk exchange's readers rely on every released member
+  // reaching its closing barrier.
   do {
     cell.parked_pes.push_back(ctx.pe);
     park(ctx, lock, /*long_wait=*/true);
@@ -361,17 +367,17 @@ bool Engine::rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
                         void* fn) {
   PMPS_ASSERT(coll_ff_enabled());
   const bool defer_abort = kind == RendezvousKind::kBulkClose;
-  std::unique_lock lock(rv_mu_);
-  RendezvousCell& cell = rv_cell_locked(comm_id, size);
+  RendezvousCell& cell = rv_cell(comm_id, size);
+  std::unique_lock lock(cell.mu);
   if (cell.aborted && !defer_abort) throw RunAborted{};
   if (++cell.arrived < size) {
     rv_park(lock, cell, ctx, defer_abort);
     return cell.aborted;
   }
   // Last arriver: every other member is parked (or about to park — each
-  // registered under rv_mu_ before its arrival counted), so their contexts
-  // and scratch are ours. Only a deferring rendezvous gets here on an
-  // aborted run, and nobody uses its results then.
+  // registered under the cell's lock before its arrival counted), so their
+  // contexts and scratch are ours. Only a deferring rendezvous gets here on
+  // an aborted run, and nobody uses its results then.
   if (!cell.aborted) on_last(fn);
   (kind == RendezvousKind::kBulkScatter ? bulk_exchanges_ : fast_forwards_)
       .fetch_add(1, std::memory_order_relaxed);

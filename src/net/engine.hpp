@@ -76,17 +76,22 @@ struct BulkPiece {
 /// counts_* / seq_per_dest vectors (Θ(p) each) and Bruck working arrays
 /// back the message path of sparse_exchange_into; the bulk_* lists (sized
 /// by pieces, not p) back its bulk path — at p = 2^15 three Θ(p) vectors
-/// per PE alone would cost ~25 GB host RAM. The ff_* fields are what a
-/// member posts for a fast-forwarded collective's replay (docs/DESIGN.md
-/// §16). The collectives never nest within one PE, so distinct fields are
-/// never aliased by a live use.
+/// per PE alone would cost ~25 GB host RAM. The ff_* fields carry a
+/// fast-forwarded collective's inputs and results between its members and
+/// the replay (docs/DESIGN.md §16). The collectives never nest within one
+/// PE, so distinct fields are never aliased by a live use.
 struct CollScratch {
   std::vector<std::int64_t> counts_out, counts_in, seq_per_dest;
   std::vector<std::int32_t> bruck_tmp, bruck_block, bruck_in;
   std::vector<BulkPiece> bulk_out;  ///< own pieces, plan order
   std::vector<BulkPiece> bulk_in;   ///< pieces to this PE, receive order
-  void* ff_out = nullptr;  ///< replay: this member's std::vector<T>, in/out
-  double ff_arrival = 0;   ///< replay: arrival of this round's message
+  /// replay: this member's std::vector<T>, in/out (allgather_merge posts
+  /// its run as a std::span<const T>, read only)
+  void* ff_out = nullptr;
+  double ff_arrival = 0;  ///< replay: arrival of this round's message
+  /// replay: one result for every member (allgather_merge's merged run, a
+  /// std::vector<T>), which each member copies out and then drops
+  std::shared_ptr<const void> ff_shared;
 };
 
 /// What a rendezvous on the fast-forward board stands for
@@ -326,8 +331,10 @@ class Engine {
   /// The fast-forward board's one primitive (requires coll_ff_enabled();
   /// docs/DESIGN.md §11, §14, §16). The `size` members of communicator
   /// `comm_id` arrive on its cell; every one but the last parks, and the
-  /// last runs `on_last` while all others are parked — so it may read and
-  /// write their contexts and CollScratch — then releases them together.
+  /// last runs `on_last` under the cell's lock while all others are parked
+  /// — so it may read and write their contexts and CollScratch — then
+  /// releases them together. Rendezvous on different cells run in
+  /// parallel.
   /// An abort before the release throws RunAborted at once, except under
   /// kBulkClose, where it releases no member before every member has
   /// arrived and then skips `on_last`. A member released before an abort
@@ -367,8 +374,11 @@ class Engine {
   /// One rendezvous cell of the fast-forward board, keyed by communicator
   /// id (comm ids are deterministic, so cells persist across runs). SPMD
   /// lockstep guarantees the members never mix two collectives within one
-  /// generation. Guarded by rv_mu_.
+  /// generation. Each cell has its own lock, so the replays of different
+  /// communicators (the rows of a grid, say) run in parallel; rv_mu_
+  /// guards only the map of cells.
   struct RendezvousCell {
+    std::mutex mu;             ///< guards every field below but `size`
     int size = 0;              ///< communicator size (fixed at creation)
     int arrived = 0;           ///< members arrived this generation
     std::uint64_t gen = 0;     ///< bumped on release; parked members wait on it
@@ -395,14 +405,16 @@ class Engine {
   bool rendezvous(PeContext& ctx, std::uint64_t comm_id, int size,
                   RendezvousKind kind, void (*on_last)(void*), void* fn);
 
-  /// Finds or creates the cell for `comm_id` (rv_mu_ held). Creation is
-  /// cold — once per communicator; warm rendezvous only look up.
-  RendezvousCell& rv_cell_locked(std::uint64_t comm_id, int size);
+  /// Finds or creates the cell for `comm_id` under rv_mu_, which it
+  /// releases before returning. Creation is cold — once per communicator;
+  /// warm rendezvous only look up. A cell created after an abort is born
+  /// aborted, since the abort's sweep of the board has missed it.
+  RendezvousCell& rv_cell(std::uint64_t comm_id, int size);
 
-  /// Parks the calling member until the cell's generation advances
-  /// (rv_mu_ held via `lock`). Returns once released, even if the run was
-  /// aborted meanwhile. An abort before the release throws RunAborted at
-  /// once, or, with `defer_abort`, keeps the member parked until the
+  /// Parks the calling member until the cell's generation advances (the
+  /// cell's lock held via `lock`). Returns once released, even if the run
+  /// was aborted meanwhile. An abort before the release throws RunAborted
+  /// at once, or, with `defer_abort`, keeps the member parked until the
   /// release.
   void rv_park(std::unique_lock<std::mutex>& lock, RendezvousCell& cell,
                PeContext& ctx, bool defer_abort);
@@ -416,7 +428,7 @@ class Engine {
                          double cost);
 
   /// Releases a completed generation: bumps gen, wakes every parked member
-  /// (rv_mu_ held).
+  /// (the cell's lock held).
   void rv_release_locked(RendezvousCell& cell);
 
   /// Per-run reset of clocks/stats/abort state at the start of every
@@ -451,6 +463,9 @@ class Engine {
   std::atomic<FiberBatch*> cur_batch_{nullptr};
   std::function<void(Comm&)> run_program_;  ///< keeps start_run's program alive
   // --- fast-forward board ---------------------------------------------------
+  /// Guards rv_cells_ (find-or-create, and the sweeps of abort_run and
+  /// prepare_run, which lock each cell in turn). Lock order: rv_mu_, then a
+  /// cell's mu; rendezvous releases rv_mu_ before it takes a cell's lock.
   std::mutex rv_mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<RendezvousCell>> rv_cells_;
   std::atomic<std::int64_t> fast_forwards_{0};

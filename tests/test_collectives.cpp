@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -544,35 +545,105 @@ TEST(AllgatherMerge, VirtualTimeMatchesClosedFormOnTwoNodes) {
   // farthest partner first, so the one island-level round carries each
   // PE's own run of n words, and the four rounds inside the node carry
   // 2n, 4n, 8n and 16n. As in the long allreduce, a pairwise exchange of
-  // b bytes costs α + 2βb; every round then merges the two runs.
-  const MachineParams m = MachineParams::supermuc_like();
+  // b bytes costs α + 2βb; every round then merges the two runs. The
+  // replay (the default) and the message path (under the neutral base
+  // NetworkModel) both take it.
   const int p = 32;
   const std::int64_t n = 64;
-  Engine engine(p, m, 3);
-  engine.run([&](Comm& comm) {
-    std::vector<std::int64_t> mine(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i)
-      mine[static_cast<std::size_t>(i)] = i * p + comm.rank();
-    const auto all =
-        allgather_merge(comm, std::span<const std::int64_t>(mine));
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(n * p));
-    for (std::size_t i = 0; i < all.size(); ++i)
-      ASSERT_EQ(all[i], static_cast<std::int64_t>(i));
-  });
-  const auto round = [&](net::LinkLevel lvl, std::int64_t words) {
-    const int l = static_cast<int>(lvl);
-    return m.alpha[l] + 2 * m.beta[l] * 8.0 * static_cast<double>(words) +
-           m.merge_cost(2 * words, 2);
-  };
-  double far_first = round(net::LinkLevel::kIsland, n);
-  double near_first = 0;
-  for (int k = 1; k <= 4; ++k)
-    far_first += round(net::LinkLevel::kNode, n << k);
-  for (int k = 0; k < 4; ++k) near_first += round(net::LinkLevel::kNode, n << k);
-  near_first += round(net::LinkLevel::kIsland, n << 4);
-  EXPECT_NEAR(engine.report().wall_time, far_first, 1e-12 * far_first);
-  // Meeting the near partners first would send the largest run off-node.
-  EXPECT_LT(far_first, near_first / 2);
+  for (const bool fast_forward : {true, false}) {
+    MachineParams m = MachineParams::supermuc_like();
+    if (!fast_forward) m.model = std::make_shared<net::NetworkModel>();
+    Engine engine(p, m, 3);
+    engine.run([&](Comm& comm) {
+      std::vector<std::int64_t> mine(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i)
+        mine[static_cast<std::size_t>(i)] = i * p + comm.rank();
+      const auto all =
+          allgather_merge(comm, std::span<const std::int64_t>(mine));
+      ASSERT_EQ(all.size(), static_cast<std::size_t>(n * p));
+      for (std::size_t i = 0; i < all.size(); ++i)
+        ASSERT_EQ(all[i], static_cast<std::int64_t>(i));
+    });
+    EXPECT_EQ(engine.report().engine.collective_fast_forwards,
+              fast_forward ? 1 : 0);
+    const auto round = [&](net::LinkLevel lvl, std::int64_t words) {
+      const int l = static_cast<int>(lvl);
+      return m.alpha[l] + 2 * m.beta[l] * 8.0 * static_cast<double>(words) +
+             m.merge_cost(2 * words, 2);
+    };
+    double far_first = round(net::LinkLevel::kIsland, n);
+    double near_first = 0;
+    for (int k = 1; k <= 4; ++k)
+      far_first += round(net::LinkLevel::kNode, n << k);
+    for (int k = 0; k < 4; ++k)
+      near_first += round(net::LinkLevel::kNode, n << k);
+    near_first += round(net::LinkLevel::kIsland, n << 4);
+    EXPECT_NEAR(engine.report().wall_time, far_first, 1e-12 * far_first)
+        << (fast_forward ? "replay" : "messages");
+    // Meeting the near partners first would send the largest run off-node.
+    EXPECT_LT(far_first, near_first / 2);
+  }
+}
+
+/// A key with a payload that the gossip's `less` ignores, so that the
+/// order of equal keys shows in the bytes.
+struct Keyed {
+  std::uint64_t key = 0;
+  std::uint64_t payload = 0;
+  bool operator==(const Keyed&) const = default;
+};
+bool key_less(const Keyed& a, const Keyed& b) { return a.key < b.key; }
+
+TEST(AllgatherMerge, EqualKeysMergeLowerRanksFirstOnEveryMember) {
+  // Every merge puts the lower-rank half's run first among equal keys, on
+  // every member and on both paths. So equal keys end in the order of the
+  // merge tree: bit-reversed rank in the far-first hypercube (p = 8:
+  // 0 4 2 6 1 5 3 7), rank order in the binomial gather of other sizes.
+  for (const int p : {2, 6, 8, 64}) {
+    const auto tie_rank = [p](std::uint64_t rank) {
+      if (!is_pow2(p)) return rank;
+      const int bits = floor_log2(static_cast<std::uint64_t>(p));
+      std::uint64_t reversed = 0;
+      for (int b = 0; b < bits; ++b)
+        reversed |= ((rank >> b) & 1) << (bits - 1 - b);
+      return reversed;
+    };
+    const auto run_of = [](int rank) {
+      // Three elements under key 7, shared by every member, and one under
+      // a key shared by a third of them.
+      const auto r = static_cast<std::uint64_t>(rank);
+      return std::vector<Keyed>{{7, 16 * r},
+                                {7, 16 * r + 1},
+                                {7, 16 * r + 2},
+                                {100 + r % 3, 16 * r + 3}};
+    };
+    std::vector<Keyed> expect;
+    for (int r = 0; r < p; ++r) {
+      const auto run = run_of(r);
+      expect.insert(expect.end(), run.begin(), run.end());
+    }
+    std::sort(expect.begin(), expect.end(),
+              [&](const Keyed& a, const Keyed& b) {
+                return std::tuple(a.key, tie_rank(a.payload / 16),
+                                  a.payload) <
+                       std::tuple(b.key, tie_rank(b.payload / 16), b.payload);
+              });
+    for (const bool fast_forward : {true, false}) {
+      MachineParams machine = MachineParams::supermuc_like();
+      if (!fast_forward) machine.model = std::make_shared<net::NetworkModel>();
+      Engine engine(p, machine, 11);
+      std::vector<std::vector<Keyed>> got(static_cast<std::size_t>(p));
+      engine.run([&](Comm& comm) {
+        const auto mine = run_of(comm.rank());
+        got[static_cast<std::size_t>(comm.rank())] = allgather_merge(
+            comm, std::span<const Keyed>(mine), key_less);
+      });
+      for (int pe = 0; pe < p; ++pe)
+        EXPECT_TRUE(got[static_cast<std::size_t>(pe)] == expect)
+            << "p=" << p << (fast_forward ? " replay" : " messages")
+            << " pe=" << pe;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -928,15 +999,17 @@ std::size_t short_allreduce_max(const Comm& comm) {
 }
 
 /// Replays taken by replayed_collectives on one communicator of size q.
-std::int64_t replays_on(int q) { return q >= 2 ? q + 15 : 0; }
+std::int64_t replays_on(int q) { return q >= 2 ? q + 17 : 0; }
 
 /// Every fast-forwarded collective on `comm`, with seeded compute and phase
 /// changes between them, so that receivers both wait for arrivals and
 /// drain late ones: bcast from every root, the short allreduce with a sum,
 /// a floating-point sum (its bits depend on the fold's tree), an affine
 /// composition and multiselect's pick_slot (both non-commutative), and
-/// exscan_add, each at lengths 1, 8 and the longest short vector. Appends
-/// every result to `got`. Takes q + 15 replays on q ≥ 2 members.
+/// exscan_add, each at lengths 1, 8 and the longest short vector; then
+/// allgather_merge twice, on runs of per-member lengths (some empty) with
+/// many equal keys whose payloads differ. Appends every result to `got`.
+/// Takes q + 17 replays on q ≥ 2 members.
 void replayed_collectives(Comm& comm, Xoshiro256& rng,
                           std::vector<std::uint64_t>& got) {
   const int p = comm.size();
@@ -1011,6 +1084,17 @@ void replayed_collectives(Comm& comm, Xoshiro256& rng,
     record(exscan_add(comm, scan),
            [&](std::int64_t x) { u64(static_cast<std::uint64_t>(x)); });
   }
+  for (const std::uint64_t max_len : {5, 40}) {
+    jitter();
+    std::vector<Keyed> run(me % 3 == 0 ? 0 : rng() % (max_len + 1));
+    for (auto& x : run) x = {rng() % 4, rng()};
+    std::sort(run.begin(), run.end(), key_less);
+    record(allgather_merge(comm, std::span<const Keyed>(run), key_less),
+           [&](const Keyed& x) {
+             u64(x.key);
+             u64(x.payload);
+           });
+  }
 }
 
 /// replayed_collectives on the world, on a split_strided slice (one parity
@@ -1062,19 +1146,19 @@ TEST(FastForward, ReplaysMatchMessagePath) {
 }
 
 TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
-  // Every PE but the last enters a fast-forwarded allreduce (or exscan) and
-  // parks; the last waits on a message nobody sends. The host then aborts
-  // the run, which wakes the parked members and the waiter. The waiter
-  // enters the collective after the abort, so it is the last arriver: it
-  // must throw RunAborted instead of replaying over the vectors of members
-  // that have already unwound. No replay may run — no combine, no charge.
+  // Every PE but the last enters a fast-forwarded allreduce, exscan or
+  // allgather_merge and parks; the last waits on a message nobody sends.
+  // The host then aborts the run, which wakes the parked members and the
+  // waiter. The waiter enters the collective after the abort, so it is the
+  // last arriver: it must throw RunAborted instead of replaying over the
+  // vectors of members that have already unwound. No replay may run — no
+  // combine or comparison, no charge.
   constexpr int kP = 8;
   for (const Backend& backend : backends({1, 3})) {
     ScopedEnv workers("PMPS_FIBER_WORKERS",
                       std::to_string(backend.workers).c_str());
-    for (const bool scan : {false, true}) {
-      const std::string what =
-          describe(backend, kP) + (scan ? " exscan" : " allreduce");
+    for (const std::string op : {"allreduce", "exscan", "allgather_merge"}) {
+      const std::string what = describe(backend, kP) + " " + op;
       Engine engine(kP, noisy_machine(), 31, backend.kind);
       std::atomic<int> parking{0}, unwound{0}, returned{0}, combines{0};
       std::array<double, kP> entry_clock{};
@@ -1090,14 +1174,22 @@ TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
         std::vector<std::int64_t> v(16, comm.rank());
         try {
           parking.fetch_add(1);
-          if (scan) {
+          if (op == "exscan") {
             v = exscan_add(comm, v);
-          } else {
+          } else if (op == "allreduce") {
             v = allreduce(comm, std::move(v),
                           [&](std::int64_t a, std::int64_t b) {
                             combines.fetch_add(1);
                             return a - b;
                           });
+          } else {
+            // One element per run, so that checking a run is sorted makes
+            // no comparison: every counted one is a merge's.
+            v = allgather_merge(comm, std::span<const std::int64_t>(v).first(1),
+                                [&](std::int64_t a, std::int64_t b) {
+                                  combines.fetch_add(1);
+                                  return a < b;
+                                });
           }
         } catch (const net::RunAborted&) {
           unwound.fetch_add(1);
@@ -1140,6 +1232,143 @@ TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
       Engine fresh(kP, noisy_machine(), 31, backend.kind);
       EXPECT_TRUE(clean_run(engine) == clean_run(fresh)) << what;
     }
+  }
+}
+
+/// Polls `flag` every millisecond for at most `limit`; returns its value.
+bool wait_for(const std::atomic<bool>& flag,
+              std::chrono::milliseconds limit = std::chrono::seconds(5)) {
+  const auto until = std::chrono::steady_clock::now() + limit;
+  while (!flag && std::chrono::steady_clock::now() < until)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  return flag.load();
+}
+
+TEST(FastForward, ReplaysOfDisjointCommunicatorsRunInParallel) {
+  // The world splits into its even and odd halves, and each half meets in
+  // one rendezvous whose callback waits, for at most 5 s, until the other
+  // half's callback has started. Each cell has its own lock, so both see
+  // each other; one lock for the whole board would let only the second
+  // see the first. Fibers are pinned to worker pe % workers, so on two
+  // workers the halves run on different ones, and one half's waiting
+  // callback, which blocks its worker, never holds up the other half. In
+  // the second leg the host aborts the run while both callbacks wait. The
+  // abort takes each cell's lock, so it wakes nobody mid-callback: every
+  // member is released and returns.
+  constexpr int kP = 8;
+  const auto clean_run = [](Engine& e) {
+    std::vector<PeOutcome> out(kP);
+    e.run([&](Comm& world) {
+      const int me = world.rank();
+      Comm half = world.split_strided(me % 2, 2, kP / 2);
+      Xoshiro256 rng(5, static_cast<std::uint64_t>(me));
+      replayed_collectives(half, rng, out[static_cast<std::size_t>(me)].got);
+      replayed_collectives(world, rng, out[static_cast<std::size_t>(me)].got);
+    });
+    capture(e, out);
+    return out;
+  };
+  for (const Backend& backend : backends({2})) {
+    ScopedEnv workers("PMPS_FIBER_WORKERS",
+                      std::to_string(backend.workers).c_str());
+    for (const bool abort : {false, true}) {
+      const std::string what =
+          describe(backend, kP) + (abort ? " abort" : " clean");
+      Engine engine(kP, noisy_machine(), 41, backend.kind);
+      std::array<std::atomic<bool>, 2> started{};
+      std::atomic<bool> aborting{false}, aborted{false};
+      std::atomic<int> waiting{0}, saw_other{0}, released{0}, unwound{0};
+      const auto program = [&](Comm& world) {
+        const int half = world.rank() % 2;
+        Comm comm = world.split_strided(half, 2, kP / 2);
+        try {
+          comm.rendezvous(net::RendezvousKind::kReplay, [&] {
+            started[static_cast<std::size_t>(half)] = true;
+            waiting.fetch_add(1);
+            if (wait_for(started[static_cast<std::size_t>(1 - half)]))
+              saw_other.fetch_add(1);
+            if (abort && wait_for(aborting))
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          });
+        } catch (const net::RunAborted&) {
+          unwound.fetch_add(1);
+          throw;
+        }
+        released.fetch_add(1);
+        if (abort) wait_for(aborted);  // so that the run sees the abort
+      };
+      if (abort) {
+        std::thread host([&] {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (waiting.load() < 2 && std::chrono::steady_clock::now() < until)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          aborting = true;
+          engine.abort_run("aborted by the host");
+          aborted = true;
+        });
+        EXPECT_THROW(engine.run(program), net::NetworkError) << what;
+        host.join();
+      } else {
+        EXPECT_NO_THROW(engine.run(program)) << what;
+      }
+      EXPECT_EQ(saw_other.load(), 2) << what;
+      EXPECT_EQ(released.load(), kP) << what;
+      EXPECT_EQ(unwound.load(), 0) << what;
+      EXPECT_EQ(engine.report().engine.collective_fast_forwards, 2) << what;
+
+      // The engine's next run matches a fresh engine's, bit for bit.
+      Engine fresh(kP, noisy_machine(), 41, backend.kind);
+      EXPECT_TRUE(clean_run(engine) == clean_run(fresh)) << what;
+    }
+  }
+}
+
+TEST(FastForward, RendezvousCellCreatedAfterAnAbortThrows) {
+  // PE 0 waits on a message nobody sends. Once PE 0 runs, the host aborts
+  // the run (an abort before the run starts would be reset by it). PE 1
+  // waits for that abort, and only then enters a barrier, the run's first
+  // rendezvous, so its cell is created after the abort swept the board.
+  // PE 0 unwinds and never arrives, so PE 1 must throw RunAborted at once
+  // instead of parking. Should it park, the host sweeps the board again
+  // after 2 s, which releases it: the test then fails instead of hanging.
+  for (const Backend& backend : backends({1, 2})) {
+    ScopedEnv workers("PMPS_FIBER_WORKERS",
+                      std::to_string(backend.workers).c_str());
+    Engine engine(2, MachineParams::supermuc_like(), 43, backend.kind);
+    std::atomic<bool> running{false}, aborted{false}, done{false},
+        swept_again{false};
+    std::atomic<int> threw{0};
+    const auto program = [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        running = true;
+        comm.recv_bytes(1, comm.next_tag_block());
+        return;
+      }
+      wait_for(aborted);
+      try {
+        barrier(comm);
+      } catch (const net::RunAborted&) {
+        threw.fetch_add(1);
+        done = true;
+        throw;
+      }
+      done = true;
+    };
+    std::thread host([&] {
+      wait_for(running, std::chrono::seconds(10));
+      engine.abort_run("aborted by the host");
+      aborted = true;
+      if (!wait_for(done, std::chrono::seconds(2))) {
+        swept_again = true;
+        engine.abort_run("aborted again");
+      }
+    });
+    EXPECT_THROW(engine.run(program), net::NetworkError)
+        << describe(backend, 2);
+    host.join();
+    EXPECT_EQ(threw.load(), 1) << describe(backend, 2);
+    EXPECT_FALSE(swept_again.load()) << describe(backend, 2);
   }
 }
 
