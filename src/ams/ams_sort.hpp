@@ -179,11 +179,23 @@ void ams_level(Comm& comm, std::vector<T>& data,
       comm, static_cast<std::int64_t>(sample.size()));
   const std::int64_t num_buckets =
       std::max<std::int64_t>(1, std::min<std::int64_t>(buckets_wanted, S));
-  std::vector<std::int64_t> want;
-  want.reserve(static_cast<std::size_t>(num_buckets - 1));
-  for (std::int64_t j = 1; j < num_buckets; ++j) {
-    // Equidistant ranks; distinct because S ≥ num_buckets.
-    want.push_back(j * S / num_buckets);
+  // Equidistant ranks ⌊j·S / num_buckets⌋, 0 < j < num_buckets, distinct
+  // because S ≥ num_buckets: stepped by the quotient and remainder of
+  // S / num_buckets instead of one division each.
+  std::vector<std::int64_t> want(static_cast<std::size_t>(num_buckets - 1));
+  {
+    const std::int64_t step = S / num_buckets;
+    const std::int64_t frac = S % num_buckets;
+    std::int64_t rank = 0, carry = 0;
+    for (std::int64_t& w : want) {
+      rank += step;
+      carry += frac;
+      if (carry >= num_buckets) {
+        carry -= num_buckets;
+        ++rank;
+      }
+      w = rank;
+    }
   }
   std::vector<TaggedKey<T>> splitters;
   if (!want.empty()) {
@@ -266,23 +278,31 @@ void ams_level(Comm& comm, std::vector<T>& data,
     }
   }
 
-  const auto global_buckets = coll::allreduce_add(comm, bucket_sizes);
-  grouping::GroupingResult grouping =
-      cfg.parallel_grouping
-          ? grouping::group_buckets_parallel(
-                comm,
-                std::span<const std::int64_t>(global_buckets.data(),
-                                              global_buckets.size()),
-                r)
-          : grouping::group_buckets_optimal(
-                std::span<const std::int64_t>(global_buckets.data(),
-                                              global_buckets.size()),
-                r);
-  if (!cfg.parallel_grouping) {
-    // Sequential scanning: every PE does the identical O(B log B) search.
+  std::shared_ptr<const grouping::GroupingResult> grouped;
+  if (cfg.parallel_grouping) {
+    const auto global_buckets = coll::allreduce_add(comm, bucket_sizes);
+    grouped = std::make_shared<const grouping::GroupingResult>(
+        grouping::group_buckets_parallel(
+            comm,
+            std::span<const std::int64_t>(global_buckets.data(),
+                                          global_buckets.size()),
+            r));
+  } else {
+    // Sequential scanning: the O(B log B) search runs once per communicator
+    // on a clean network (once per PE on messages), and every PE is charged
+    // for it, as if each ran it.
+    grouped = coll::allreduce_then(
+        comm, bucket_sizes, std::plus<std::int64_t>{},
+        [r](const std::vector<std::int64_t>& global_buckets) {
+          return grouping::group_buckets_optimal(
+              std::span<const std::int64_t>(global_buckets.data(),
+                                            global_buckets.size()),
+              r);
+        });
     comm.charge(machine.compare_cost_n(
-        static_cast<std::int64_t>(grouping.scans) * num_buckets));
+        static_cast<std::int64_t>(grouped->scans) * num_buckets));
   }
+  const grouping::GroupingResult& grouping = *grouped;
   if (stats) {
     stats->max_group_load.push_back(grouping.max_load);
     stats->level_imbalance.push_back(

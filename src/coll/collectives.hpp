@@ -8,13 +8,13 @@
 // (docs/DESIGN.md §13); bcast, reduce and exscan_add ship the whole vector
 // on each of their ⌈log2 p⌉ rounds.
 //
-// On a clean network barrier, bcast, the short allreduce, exscan_add,
-// allgather_merge and sparse_exchange send no messages: the members meet in
-// one engine rendezvous, and the last to arrive replays the schedule for
-// all of them, bit-identical in virtual time, statistics and values
-// (docs/DESIGN.md §11, §14, §16). There, bcast's root and exscan_add's
-// rank 0 wait for every member, so every caller must reach them in SPMD
-// lockstep.
+// On a clean network barrier, bcast, allreduce (both schedules),
+// exscan_add, allgather_merge and sparse_exchange send no messages: the
+// members meet in one engine rendezvous, and the last to arrive replays the
+// schedule for all of them, bit-identical in virtual time, statistics and
+// values (docs/DESIGN.md §11, §14, §16). There, bcast's root and
+// exscan_add's rank 0 wait for every member, so every caller must reach
+// them in SPMD lockstep.
 //
 // The irregular collectives are *flat-buffer* APIs, the shape real MPI
 // specifies them in (one contiguous buffer plus counts/displacements):
@@ -33,9 +33,12 @@
 //   reduce                 — binomial tree to a root, Θ((α + βℓ) log p)
 //   allreduce / allreduce_add — elementwise on equal-length vectors, any
 //                            associative op: short vectors reduce + bcast,
-//                            Θ((α + βℓ) log p), replayed as one; long ones
-//                            Rabenseifner's reduce-scatter + allgather,
-//                            Θ(α log p + βℓ)
+//                            Θ((α + βℓ) log p); long ones Rabenseifner's
+//                            reduce-scatter + allgather, Θ(α log p + βℓ);
+//                            each replayed as one, folding the sum once
+//   allreduce_then         — allreduce, then one function of the sum: on
+//                            the replay computed once per communicator and
+//                            shared by every member
 //   exscan_add             — vector-valued exclusive prefix sum
 //                            (dissemination), Θ((α + βℓ) log p); replayed
 //   *_one                  — scalar wrappers over the vector collectives,
@@ -72,6 +75,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -147,11 +151,23 @@ class Replay {
     net::PeContext& c = ctx(rank);
     c.advance(seconds * c.dilation);
   }
+  /// Hands every member the same `result`; each takes its reference back
+  /// with take_shared once released.
+  void share(const std::shared_ptr<const void>& result) const {
+    for (int r = 0; r < size(); ++r) scratch(r).ff_shared = result;
+  }
 
  private:
   const Comm& comm_;
   net::Engine& engine_;
 };
+
+/// This member's reference to the result a replay shared (Replay::share).
+template <typename R>
+std::shared_ptr<const R> take_shared(Comm& comm) {
+  return std::static_pointer_cast<const R>(
+      std::exchange(comm.ctx().coll_scratch.ff_shared, nullptr));
+}
 
 /// Replay of barrier's dissemination schedule. Every member sends and
 /// receives in every round, so each round charges all sends, in rank
@@ -344,6 +360,39 @@ inline bool allreduce_is_long(const Comm& comm, std::size_t bytes) {
          m.alpha[lvl] * ceil_log2(static_cast<std::uint64_t>(p));
 }
 
+/// The shape of Rabenseifner's schedule over p ranks and a vector of `len`
+/// elements, shared by its message loop and its replay. For p = 2^k + rem
+/// the 2^k participants are the odd ranks of the first rem pairs and every
+/// rank from 2·rem on; the vector is cut into 2^k blocks.
+struct LongAllreduceShape {
+  LongAllreduceShape(int p, std::size_t len)
+      : rounds(floor_log2(static_cast<std::uint64_t>(p))),
+        pof2(1 << rounds),
+        rem(p - pof2),
+        len(len) {}
+
+  int rounds;  ///< k: halving rounds, then as many doubling rounds
+  int pof2;    ///< 2^k participants
+  int rem;     ///< ranks 2i and 2i+1 (i < rem) fold into 2i+1
+  std::size_t len;
+
+  /// The rank of participant `vr`.
+  int rank_of(int vr) const { return vr < rem ? 2 * vr + 1 : vr + rem; }
+  /// The element offset of block `b`.
+  std::size_t offset(int b) const {
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(b) * len /
+                                    static_cast<std::uint64_t>(pof2));
+  }
+  /// Elements participant `vr` keeps after `k` halving rounds: 2^(rounds−k)
+  /// blocks from block rev(vr mod 2^k)·2^(rounds−k), rev reversing k bits.
+  std::size_t kept(int vr, int k) const {
+    int first = 0;
+    for (int j = 0; j < k; ++j)
+      if (((vr >> j) & 1) != 0) first += pof2 >> (j + 1);
+    return offset(first + (pof2 >> k)) - offset(first);
+  }
+};
+
 /// Rabenseifner's allreduce, in place on `v`: a reduce-scatter by recursive
 /// halving, then an allgather by recursive doubling — Θ(α log p + βℓ). For
 /// p = 2^k + rem, ranks 2i and 2i+1 (i < rem) first fold into 2i+1, and 2i
@@ -354,15 +403,13 @@ inline bool allreduce_is_long(const Comm& comm, std::size_t bytes) {
 /// and handed back to the pool, so a warm call allocates nothing.
 template <Sortable T, typename Op>
 void allreduce_long(Comm& comm, std::vector<T>& v, Op& op) {
-  const int p = comm.size();
   const int me = comm.rank();
-  const int rounds = floor_log2(static_cast<std::uint64_t>(p));
-  const int pof2 = 1 << rounds;
-  const int rem = p - pof2;
+  const LongAllreduceShape shape(comm.size(), v.size());
+  const int pof2 = shape.pof2;
+  const int rem = shape.rem;
   const std::uint64_t tag = comm.next_tag_block();
   const std::uint64_t fold_out_tag =
-      tag + 1 + 2 * static_cast<std::uint64_t>(rounds);
-  const std::size_t len = v.size();
+      tag + 1 + 2 * static_cast<std::uint64_t>(shape.rounds);
 
   // v[lo, lo + n) ← op over (received, own), lower ranks on the left.
   auto combine_from = [&](int src, std::uint64_t t, std::size_t lo,
@@ -385,17 +432,12 @@ void allreduce_long(Comm& comm, std::vector<T>& v, Op& op) {
       comm.recv_into<T>(me + 1, fold_out_tag, std::span<T>(v));
       return;
     }
-    combine_from(me - 1, tag, 0, len, /*theirs_lower=*/true);
+    combine_from(me - 1, tag, 0, v.size(), /*theirs_lower=*/true);
     vrank = me / 2;
   }
-  auto rank_of = [rem](int vr) { return vr < rem ? 2 * vr + 1 : vr + rem; };
-  // The vector is cut into 2^k blocks; block b starts at element offset(b).
-  auto offset = [len, pof2](int b) {
-    return static_cast<std::size_t>(static_cast<std::uint64_t>(b) * len /
-                                    static_cast<std::uint64_t>(pof2));
-  };
   auto blocks = [&](int lo, int hi) {
-    return std::span<T>(v.data() + offset(lo), offset(hi) - offset(lo));
+    return std::span<T>(v.data() + shape.offset(lo),
+                        shape.offset(hi) - shape.offset(lo));
   };
 
   // Reduce-scatter: keep one half of the current block range, send the
@@ -404,17 +446,18 @@ void allreduce_long(Comm& comm, std::vector<T>& v, Op& op) {
   int hi = pof2;
   std::uint64_t t = tag + 1;
   for (int mask = 1; mask < pof2; mask <<= 1, ++t) {
-    const int partner = rank_of(vrank ^ mask);
+    const int partner = shape.rank_of(vrank ^ mask);
     const bool lower = (vrank & mask) == 0;
     const int mid = (lo + hi) / 2;
     comm.send<T>(partner, t, lower ? blocks(mid, hi) : blocks(lo, mid));
     (lower ? hi : lo) = mid;
-    combine_from(partner, t, offset(lo), offset(hi) - offset(lo),
+    combine_from(partner, t, shape.offset(lo),
+                 shape.offset(hi) - shape.offset(lo),
                  /*theirs_lower=*/!lower);
   }
   // Allgather: the same pairs in reverse; each round doubles the range.
   for (int mask = pof2 / 2; mask >= 1; mask >>= 1, ++t) {
-    const int partner = rank_of(vrank ^ mask);
+    const int partner = shape.rank_of(vrank ^ mask);
     const bool lower = (vrank & mask) == 0;
     const int width = hi - lo;
     comm.send<T>(partner, t, blocks(lo, hi));
@@ -430,15 +473,16 @@ void allreduce_long(Comm& comm, std::vector<T>& v, Op& op) {
   if (me < 2 * rem) comm.send<T>(me - 1, fold_out_tag, std::span<const T>(v));
 }
 
-/// Replay of the short allreduce: reduce's binomial tree to rank 0, then
-/// bcast's from rank 0. In reduce round k the senders are the ranks whose
-/// lowest set bit is 2^k and the receivers the multiples of 2^(k+1), so
-/// again no member both sends and receives in one round. Each receiver is
-/// charged the message and then its combine, and folds the sender's
-/// partial in on the right, in place — reduce's tree order, so a
-/// non-commutative `op` gives the message path's result.
+/// Replay of the short allreduce up to its sum: reduce's binomial tree to
+/// rank 0, then bcast's charges from rank 0. In reduce round k the senders
+/// are the ranks whose lowest set bit is 2^k and the receivers the
+/// multiples of 2^(k+1), so again no member both sends and receives in one
+/// round. Each receiver is charged the message and then its combine, and
+/// folds the sender's partial in on the right, in place — reduce's tree
+/// order, so a non-commutative `op` gives the message path's result.
+/// Returns rank 0's vector, which holds the sum.
 template <Sortable T, typename Op>
-void replay_allreduce(const Replay& ff, Op& op) {
+const std::vector<T>& replay_allreduce_short(const Replay& ff, Op& op) {
   const int p = ff.size();
   const auto& machine = ff.machine();
   for (int step = 1; step < p; step <<= 1) {
@@ -454,7 +498,99 @@ void replay_allreduce(const Replay& ff, Op& op) {
       for (std::size_t i = 0; i < acc.size(); ++i) acc[i] = op(acc[i], part[i]);
     }
   }
-  replay_bcast<T>(ff, 0);
+  charge_bcast(ff, 0, ff.out<T>(0).size() * sizeof(T));
+  return ff.out<T>(0);
+}
+
+/// Replay of allreduce_long up to its sum. The schedule is charged
+/// round-major: the fold-in edges, each receive followed by its combine;
+/// every halving round, all sends in participant order, then all receives,
+/// each followed by its combine (as replay_barrier orders a round); every
+/// doubling round likewise, without combines; the fold-out edges. An empty
+/// block is charged as the empty message that carries it.
+///
+/// Then the sum is folded once, in the halving tree's order: pairwise over
+/// the 2^k participants, the lower partial on the left, participant i < rem
+/// first folding op(rank 2i, rank 2i+1) — §13's rank-order fold, so a
+/// floating-point sum and a non-commutative `op` give the message path's
+/// bits. Chunk by chunk, the tree runs depth first, each subtree's partial
+/// kept in its first participant's vector: every posted vector is read
+/// once, and the ⌈log2 p⌉ live partials stay in cache. Returns the vector
+/// that holds the sum.
+template <Sortable T, typename Op>
+const std::vector<T>& replay_allreduce_long(const Replay& ff, Op& op) {
+  const int p = ff.size();
+  const auto& machine = ff.machine();
+  const std::size_t len = ff.out<T>(0).size();
+  for (int r = 1; r < p; ++r) PMPS_CHECK(ff.out<T>(r).size() == len);
+  const LongAllreduceShape shape(p, len);
+  const int pof2 = shape.pof2;
+  const auto combine = [&](int rank, std::size_t n) {
+    ff.charge(rank, machine.compare_cost_n(static_cast<std::int64_t>(n)));
+  };
+
+  for (int i = 0; i < shape.rem; ++i) {
+    ff.recv(2 * i + 1, 2 * i, len * sizeof(T),
+            ff.send(2 * i, 2 * i + 1, len * sizeof(T)));
+    combine(2 * i + 1, len);
+  }
+  // In the round at distance 2^k each participant sends what its partner
+  // keeps after the round; in the doubling round, what it kept itself.
+  for (int k = 0; k < shape.rounds; ++k) {
+    for (int v = 0; v < pof2; ++v)
+      ff.post_send(shape.rank_of(v), shape.rank_of(v ^ (1 << k)),
+                   shape.kept(v ^ (1 << k), k + 1) * sizeof(T));
+    for (int v = 0; v < pof2; ++v) {
+      const std::size_t n = shape.kept(v, k + 1);
+      ff.posted_recv(shape.rank_of(v), shape.rank_of(v ^ (1 << k)),
+                     n * sizeof(T));
+      combine(shape.rank_of(v), n);
+    }
+  }
+  for (int k = shape.rounds - 1; k >= 0; --k) {
+    for (int v = 0; v < pof2; ++v)
+      ff.post_send(shape.rank_of(v), shape.rank_of(v ^ (1 << k)),
+                   shape.kept(v, k + 1) * sizeof(T));
+    for (int v = 0; v < pof2; ++v)
+      ff.posted_recv(shape.rank_of(v), shape.rank_of(v ^ (1 << k)),
+                     shape.kept(v ^ (1 << k), k + 1) * sizeof(T));
+  }
+  for (int i = 0; i < shape.rem; ++i) {
+    ff.recv(2 * i, 2 * i + 1, len * sizeof(T),
+            ff.send(2 * i + 1, 2 * i, len * sizeof(T)));
+  }
+
+  const auto at = [&](int v) { return ff.out<T>(shape.rank_of(v)).data(); };
+  // 16 KiB of elements: at p = 4096 the ≤ 13 live partials take 208 KiB,
+  // within a core's L2.
+  constexpr std::size_t kChunk = std::max<std::size_t>(1, 16384 / sizeof(T));
+  for (std::size_t lo = 0; lo < len; lo += kChunk) {
+    const std::size_t hi = std::min(len, lo + kChunk);
+    for (int v = 0; v < pof2; ++v) {
+      T* const leaf = at(v);
+      if (v < shape.rem) {
+        const T* const pair = ff.out<T>(2 * v).data();
+        for (std::size_t i = lo; i < hi; ++i) leaf[i] = op(pair[i], leaf[i]);
+      }
+      // v closes the subtree of 2^(j+1) participants ending at v for every
+      // low 1-bit j: fold its upper half into its lower half.
+      for (int j = 0; ((v >> j) & 1) != 0; ++j) {
+        T* const acc = at(v + 1 - (2 << j));
+        const T* const part = at(v + 1 - (1 << j));
+        for (std::size_t i = lo; i < hi; ++i) acc[i] = op(acc[i], part[i]);
+      }
+    }
+  }
+  return ff.out<T>(shape.rank_of(0));
+}
+
+/// Replay of either allreduce schedule up to its sum: every member's
+/// charges, and the vector that holds the sum (the caller hands it out).
+template <Sortable T, typename Op>
+const std::vector<T>& replay_allreduce(const Replay& ff, bool is_long,
+                                       Op& op) {
+  return is_long ? replay_allreduce_long<T>(ff, op)
+                 : replay_allreduce_short<T>(ff, op);
 }
 
 }  // namespace detail
@@ -462,28 +598,61 @@ void replay_allreduce(const Replay& ff, Op& op) {
 /// Elementwise allreduce over equal-length vectors; `op` must be
 /// associative, need not be commutative, and the result is the rank-order
 /// fold on every PE. Short vectors run a binomial reduce to rank 0 and a
-/// broadcast, Θ((α + βℓ) log p) — on a clean network as one fast-forwarded
-/// rendezvous (detail::replay_allreduce), whose last arriver combines with
-/// its own `op`, so `op` must be the same function on every member. At and
-/// above the crossover (detail::allreduce_is_long) Rabenseifner's schedule,
-/// Θ(α log p + βℓ), always on messages.
+/// broadcast, Θ((α + βℓ) log p); at and above the crossover
+/// (detail::allreduce_is_long) Rabenseifner's schedule, Θ(α log p + βℓ).
+/// On a clean network either runs as one fast-forwarded rendezvous
+/// (detail::replay_allreduce), whose last arriver folds the sum once with
+/// its own `op`, so `op` must be the same function on every member, and
+/// writes it into every member's vector in place.
 template <Sortable T, typename Op>
 std::vector<T> allreduce(Comm& comm, std::vector<T> local, Op op) {
   if (comm.size() == 1) return local;
-  if (detail::allreduce_is_long(comm, local.size() * sizeof(T))) {
-    detail::allreduce_long(comm, local, op);
-    return local;
-  }
+  const bool is_long =
+      detail::allreduce_is_long(comm, local.size() * sizeof(T));
   if (comm.engine().coll_ff_enabled()) {
     comm.ctx().coll_scratch.ff_out = &local;
-    comm.rendezvous(net::RendezvousKind::kReplay, [&comm, &op] {
-      detail::replay_allreduce<T>(detail::Replay(comm), op);
+    comm.rendezvous(net::RendezvousKind::kReplay, [&comm, is_long, &op] {
+      const detail::Replay ff(comm);
+      const std::vector<T>& sum = detail::replay_allreduce<T>(ff, is_long, op);
+      for (int r = 0; r < ff.size(); ++r)
+        if (&ff.out<T>(r) != &sum) ff.out<T>(r) = sum;  // equal lengths
     });
+    return local;
+  }
+  if (is_long) {
+    detail::allreduce_long(comm, local, op);
     return local;
   }
   auto result = reduce(comm, std::move(local), op, /*root=*/0);
   bcast(comm, result, /*root=*/0);
   return result;
+}
+
+/// allreduce, then `f(sum)`, handed to every member as one shared result.
+/// On a clean network the last arriver of either schedule's replay runs `f`
+/// once for the whole communicator, on the sum where the fold left it, and
+/// no member's vector receives the sum. On messages every PE runs allreduce
+/// and then `f` itself. Both give every member an equal value, so `f` must
+/// be the same pure function of the sum on every member; it may run on
+/// another member's worker, and charges nothing: each caller charges its
+/// own share of f's work.
+template <Sortable T, typename Op, typename F,
+          typename R = std::remove_cvref_t<
+              std::invoke_result_t<F&, const std::vector<T>&>>>
+std::shared_ptr<const R> allreduce_then(Comm& comm, std::vector<T> local,
+                                        Op op, F f) {
+  if (comm.size() > 1 && comm.engine().coll_ff_enabled()) {
+    const bool is_long =
+        detail::allreduce_is_long(comm, local.size() * sizeof(T));
+    comm.ctx().coll_scratch.ff_out = &local;
+    comm.rendezvous(net::RendezvousKind::kReplay, [&comm, is_long, &op, &f] {
+      const detail::Replay ff(comm);
+      ff.share(std::make_shared<const R>(
+          f(detail::replay_allreduce<T>(ff, is_long, op))));
+    });
+    return detail::take_shared<R>(comm);
+  }
+  return std::make_shared<const R>(f(allreduce(comm, std::move(local), op)));
 }
 
 /// Elementwise vector sum across all PEs.
@@ -739,9 +908,7 @@ void replay_allgather_merge(const Replay& ff, Less& less) {
     }
     charge_bcast(ff, 0, bytes(0));
   }
-  const auto merged =
-      std::make_shared<const std::vector<T>>(std::move(held[0]));
-  for (int r = 0; r < p; ++r) ff.scratch(r).ff_shared = merged;
+  ff.share(std::make_shared<const std::vector<T>>(std::move(held[0])));
 }
 
 }  // namespace detail
@@ -768,14 +935,11 @@ std::vector<T> allgather_merge(Comm& comm, std::span<const T> local_sorted,
   PMPS_ASSERT(std::is_sorted(local_sorted.begin(), local_sorted.end(), less));
   if (p == 1) return std::vector<T>(local_sorted.begin(), local_sorted.end());
   if (comm.engine().coll_ff_enabled()) {
-    net::CollScratch& scratch = comm.ctx().coll_scratch;
-    scratch.ff_out = &local_sorted;
+    comm.ctx().coll_scratch.ff_out = &local_sorted;
     comm.rendezvous(net::RendezvousKind::kReplay, [&comm, &less] {
       detail::replay_allgather_merge<T>(detail::Replay(comm), less);
     });
-    const auto merged = std::static_pointer_cast<const std::vector<T>>(
-        std::exchange(scratch.ff_shared, nullptr));
-    return *merged;
+    return *detail::take_shared<std::vector<T>>(comm);
   }
 
   std::vector<T> cur(local_sorted.begin(), local_sorted.end());

@@ -89,8 +89,10 @@ struct CollScratch {
   /// its run as a std::span<const T>, read only)
   void* ff_out = nullptr;
   double ff_arrival = 0;  ///< replay: arrival of this round's message
-  /// replay: one result for every member (allgather_merge's merged run, a
-  /// std::vector<T>), which each member copies out and then drops
+  /// replay: one result for every member, which each takes back once
+  /// released: allgather_merge's merged run (a std::vector<T>, which each
+  /// member copies out and then drops) or allreduce_then's value of its
+  /// function of the sum (which each member keeps)
   std::shared_ptr<const void> ff_shared;
 };
 

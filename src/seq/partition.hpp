@@ -39,7 +39,16 @@ class BucketClassifier {
     // elements beyond it are clamped to the last bucket after the descent.
     tree_size_ = static_cast<int>(next_pow2(static_cast<std::uint64_t>(s + 1)));
     tree_.assign(static_cast<std::size_t>(tree_size_), splitters_.back().key);
-    fill_tree(1, 0, tree_size_ - 2);
+    // Heap order, level by level: in-order traversal of the implicit tree
+    // enumerates the padded splitters sorted, so node 2^d + i, the i-th
+    // node of depth d, takes padded splitter (2i + 1)·2^(h−1−d) − 1, where
+    // tree_size_ = 2^h.
+    for (int first = 1, gap = tree_size_ / 2; gap >= 1;
+         first *= 2, gap /= 2) {
+      for (int i = 0; i < first; ++i)
+        tree_[static_cast<std::size_t>(first + i)] =
+            padded((2 * i + 1) * gap - 1);
+    }
   }
 
   int num_buckets() const { return num_buckets_; }
@@ -103,17 +112,6 @@ class BucketClassifier {
     // keys already known equal here; compare tags
     if (a.pe != b.pe) return a.pe < b.pe;
     return a.index < b.index;
-  }
-
-  /// Writes the splitters into heap order (in-order traversal of the
-  /// implicit tree enumerates them sorted). Range is over *leaf gaps*
-  /// [lo, hi] in the padded sorted splitter array.
-  void fill_tree(int node, int lo, int hi) {
-    if (node >= tree_size_) return;
-    const int mid = (lo + hi) / 2;
-    tree_[static_cast<std::size_t>(node)] = padded(mid);
-    fill_tree(2 * node, lo, mid - 1);
-    fill_tree(2 * node + 1, mid + 1, hi);
   }
 
   T padded(int i) const {

@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <new>
 #include <span>
@@ -42,6 +43,7 @@
 #include "net/engine.hpp"
 #include "net/fiber.hpp"
 #include "net/mailbox.hpp"
+#include "net/network_model.hpp"
 
 namespace {
 
@@ -340,9 +342,11 @@ void sparse_rounds(Comm& comm, int rounds) {
 }
 
 /// R long-vector allreduces of one 1 Ki-word vector, moved in and back out
-/// each round. The long schedule combines straight out of the received
-/// payloads and receives the allgather in place, so the only vector it could
-/// allocate is the result, and that is the caller's own buffer.
+/// each round. On messages the long schedule combines straight out of the
+/// received payloads and receives the allgather in place; its replay folds
+/// the posted vectors in place and writes the sum into each of them. So the
+/// only vector either could allocate is the result, and that is the
+/// caller's own buffer.
 constexpr std::size_t kLongWords = 1024;
 void allreduce_rounds(Comm& comm, int rounds) {
   std::vector<std::int64_t> v(kLongWords);
@@ -396,9 +400,12 @@ TEST(AllocCount, SparseExchangeSteadyStateAllocatesNothingPerRound) {
 TEST(AllocCount, LongAllreduceAllocatesNothingPerCall) {
   if (!net::fibers_supported()) GTEST_SKIP() << "no fiber backend here";
   setenv("PMPS_FIBER_WORKERS", "1", 1);
-  {
-    Engine engine(8, MachineParams::supermuc_like(), 1,
-                  EngineBackend::kFibers);
+  // The replay (the default) and the message path (under the neutral base
+  // NetworkModel).
+  for (const bool fast_forward : {true, false}) {
+    MachineParams machine = MachineParams::supermuc_like();
+    if (!fast_forward) machine.model = std::make_shared<net::NetworkModel>();
+    Engine engine(8, machine, 1, EngineBackend::kFibers);
     std::atomic<bool> is_long{true};
     engine.run([&](Comm& comm) {
       if (!coll::detail::allreduce_is_long(
@@ -407,9 +414,11 @@ TEST(AllocCount, LongAllreduceAllocatesNothingPerCall) {
       allreduce_rounds(comm, 16);  // warm-up
     });
     ASSERT_TRUE(is_long) << "the vector must take the long schedule";
+    EXPECT_EQ(engine.report().engine.collective_fast_forwards,
+              fast_forward ? 16 : 0);
     const std::int64_t few = engine_run_allocs(engine, allreduce_rounds, 2);
     const std::int64_t many = engine_run_allocs(engine, allreduce_rounds, 16);
-    EXPECT_EQ(few, many);
+    EXPECT_EQ(few, many) << (fast_forward ? "replay" : "messages");
   }
   unsetenv("PMPS_FIBER_WORKERS");
 }

@@ -443,9 +443,10 @@ std::int64_t long_schedule_sends(int p, int rank) {
   return rank % 2 == 0 ? 1 : 2 * rounds + 1;
 }
 
-/// Runs `allreduce(op)` over `input(rank, i)`, i < len, on supermuc_like()
-/// and checks, on every PE, the result against the serial rank-order fold
-/// and the sent-message count against the long schedule's.
+/// Runs `allreduce(op)` over `input(rank, i)`, i < len, on supermuc_like(),
+/// replayed and on messages (under the neutral base NetworkModel), and
+/// checks, on every PE, the result against the serial rank-order fold and
+/// the sent-message count against the long schedule's.
 template <typename E, typename Op, typename Input>
 void expect_long_allreduce_folds_in_rank_order(int p, std::size_t len, Op op,
                                                Input input) {
@@ -454,18 +455,28 @@ void expect_long_allreduce_folds_in_rank_order(int p, std::size_t len, Op op,
     expect[i] = input(0, i);
     for (int r = 1; r < p; ++r) expect[i] = op(expect[i], input(r, i));
   }
-  Engine engine(p, MachineParams::supermuc_like(), 5);
-  engine.run([&](Comm& comm) {
-    std::vector<E> mine(len);
-    for (std::size_t i = 0; i < len; ++i) mine[i] = input(comm.rank(), i);
-    const std::int64_t sent0 = comm.ctx().stats.messages_sent;
-    const auto got = allreduce(comm, std::move(mine), op);
-    EXPECT_EQ(comm.ctx().stats.messages_sent - sent0,
-              long_schedule_sends(p, comm.rank()))
-        << "p=" << p << " len=" << len << " rank=" << comm.rank();
-    EXPECT_TRUE(got == expect)
-        << "p=" << p << " len=" << len << " rank=" << comm.rank();
-  });
+  for (const bool fast_forward : {true, false}) {
+    MachineParams machine = MachineParams::supermuc_like();
+    if (!fast_forward) machine.model = std::make_shared<net::NetworkModel>();
+    const auto what = [&](const Comm& comm) {
+      return "p=" + std::to_string(p) + " len=" + std::to_string(len) +
+             " rank=" + std::to_string(comm.rank()) +
+             (fast_forward ? " replay" : " messages");
+    };
+    Engine engine(p, machine, 5);
+    engine.run([&](Comm& comm) {
+      std::vector<E> mine(len);
+      for (std::size_t i = 0; i < len; ++i) mine[i] = input(comm.rank(), i);
+      const std::int64_t sent0 = comm.ctx().stats.messages_sent;
+      const auto got = allreduce(comm, std::move(mine), op);
+      EXPECT_EQ(comm.ctx().stats.messages_sent - sent0,
+                long_schedule_sends(p, comm.rank()))
+          << what(comm);
+      EXPECT_TRUE(got == expect) << what(comm);
+    });
+    EXPECT_EQ(engine.report().engine.collective_fast_forwards,
+              fast_forward ? 1 : 0);
+  }
 }
 
 template <typename E, typename Op>
@@ -513,29 +524,41 @@ TEST(AllreduceLong, VirtualTimeMatchesClosedFormOnFlatMachine) {
   // A pairwise exchange of b bytes costs α + 2βb here: the sender pays
   // α + βb, and the receive then drains βb because the single port was busy
   // sending. Each of the two phases has log2 p rounds and moves (p−1)/p of
-  // the 8-byte words; the reduce-scatter combines (p−1)/p of them once.
+  // the 8-byte words; the reduce-scatter combines (p−1)/p of them once. The
+  // replay (the default) and the message path (under the neutral base
+  // NetworkModel) both take it, to the bit.
   const double alpha = 1e-6;
   const double beta = 1e-8;
-  const MachineParams machine = MachineParams::flat(alpha, beta);
   for (const int p : {64, 1024}) {
     for (const std::size_t words : {std::size_t{1024}, std::size_t{16384}}) {
-      Engine engine(p, machine, 3);
-      engine.run([&](Comm& comm) {
-        std::vector<std::int64_t> v(words, comm.rank());
-        const std::int64_t sent0 = comm.ctx().stats.messages_sent;
-        v = allreduce_add(comm, std::move(v));
-        EXPECT_EQ(comm.ctx().stats.messages_sent - sent0,
-                  2 * floor_log2(static_cast<std::uint64_t>(p)));
-        EXPECT_EQ(v[words - 1],
-                  static_cast<std::int64_t>(p) * (p - 1) / 2);
-      });
-      const double moved = static_cast<double>(p - 1) / p *
-                           static_cast<double>(words);
-      const double closed_form =
-          2 * ceil_log2(static_cast<std::uint64_t>(p)) * alpha +
-          2 * (8 * moved * 2 * beta) + moved * machine.compare_cost;
-      EXPECT_NEAR(engine.report().wall_time, closed_form, 0.1 * closed_form)
-          << "p=" << p << " words=" << words;
+      std::vector<double> wall;
+      for (const bool fast_forward : {true, false}) {
+        MachineParams machine = MachineParams::flat(alpha, beta);
+        if (!fast_forward)
+          machine.model = std::make_shared<net::NetworkModel>();
+        Engine engine(p, machine, 3);
+        engine.run([&](Comm& comm) {
+          std::vector<std::int64_t> v(words, comm.rank());
+          const std::int64_t sent0 = comm.ctx().stats.messages_sent;
+          v = allreduce_add(comm, std::move(v));
+          EXPECT_EQ(comm.ctx().stats.messages_sent - sent0,
+                    2 * floor_log2(static_cast<std::uint64_t>(p)));
+          EXPECT_EQ(v[words - 1],
+                    static_cast<std::int64_t>(p) * (p - 1) / 2);
+        });
+        EXPECT_EQ(engine.report().engine.collective_fast_forwards,
+                  fast_forward ? 1 : 0);
+        const double moved = static_cast<double>(p - 1) / p *
+                             static_cast<double>(words);
+        const double closed_form =
+            2 * ceil_log2(static_cast<std::uint64_t>(p)) * alpha +
+            2 * (8 * moved * 2 * beta) + moved * machine.compare_cost;
+        wall.push_back(engine.report().wall_time);
+        EXPECT_NEAR(wall.back(), closed_form, 0.1 * closed_form)
+            << "p=" << p << " words=" << words
+            << (fast_forward ? " replay" : " messages");
+      }
+      EXPECT_EQ(wall[0], wall[1]) << "p=" << p << " words=" << words;
     }
   }
 }
@@ -998,18 +1021,31 @@ std::size_t short_allreduce_max(const Comm& comm) {
   return len;
 }
 
+/// The shortest vector of `T` that `allreduce` sends on the long schedule
+/// over `comm`.
+template <typename T>
+std::size_t long_allreduce_min(const Comm& comm) {
+  std::size_t len = 1;
+  while (!detail::allreduce_is_long(comm, len * sizeof(T))) ++len;
+  return len;
+}
+
 /// Replays taken by replayed_collectives on one communicator of size q.
-std::int64_t replays_on(int q) { return q >= 2 ? q + 17 : 0; }
+std::int64_t replays_on(int q) { return q >= 2 ? q + 26 : 0; }
 
 /// Every fast-forwarded collective on `comm`, with seeded compute and phase
 /// changes between them, so that receivers both wait for arrivals and
-/// drain late ones: bcast from every root, the short allreduce with a sum,
-/// a floating-point sum (its bits depend on the fold's tree), an affine
+/// drain late ones: bcast from every root; allreduce with a sum, a
+/// floating-point sum (its bits depend on the fold's tree), an affine
 /// composition and multiselect's pick_slot (both non-commutative), and
-/// exscan_add, each at lengths 1, 8 and the longest short vector; then
-/// allgather_merge twice, on runs of per-member lengths (some empty) with
-/// many equal keys whose payloads differ. Appends every result to `got`.
-/// Takes q + 17 replays on q ≥ 2 members.
+/// exscan_add, each at lengths 1, 8, the longest short vector and the
+/// shortest long one; the long allreduce of 4 KiB elements, an affine
+/// composition and a floating-point sum, at its shortest length, which is
+/// shorter than the 2^⌊log2 q⌋ participants on every q tested, so that
+/// blocks are empty; allreduce_then on the longest short and the shortest
+/// long sum; then allgather_merge twice, on runs of per-member lengths
+/// (some empty) with many equal keys whose payloads differ. Appends every
+/// result to `got`. Takes q + 26 replays on q ≥ 2 members.
 void replayed_collectives(Comm& comm, Xoshiro256& rng,
                           std::vector<std::uint64_t>& got) {
   const int p = comm.size();
@@ -1025,6 +1061,13 @@ void replayed_collectives(Comm& comm, Xoshiro256& rng,
     for (const auto& x : v) word(x);
   };
   const auto u64 = [&got](std::uint64_t x) { got.push_back(x); };
+  const auto affine = [&u64](const Affine& f) {
+    u64(f.a);
+    u64(f.b);
+  };
+  const auto float_bits = [&u64](double x) {
+    u64(std::bit_cast<std::uint64_t>(x));
+  };
 
   for (int root = 0; root < p; ++root) {
     jitter();
@@ -1038,11 +1081,13 @@ void replayed_collectives(Comm& comm, Xoshiro256& rng,
     record(v, u64);
   }
   using Slot64 = select::detail::PivotSlot<std::uint64_t>;
-  for (int k = 0; k < 3; ++k) {
+  for (int k = 0; k < 4; ++k) {
     const auto len_of = [&comm, k](auto elem) {
-      return k == 0 ? std::size_t{1}
-                    : k == 1 ? std::size_t{8}
-                             : short_allreduce_max<decltype(elem)>(comm);
+      using E = decltype(elem);
+      return k == 0   ? std::size_t{1}
+             : k == 1 ? std::size_t{8}
+             : k == 2 ? short_allreduce_max<E>(comm)
+                      : long_allreduce_min<E>(comm);
     };
     jitter();
     std::vector<std::int64_t> sum(len_of(std::int64_t{}));
@@ -1053,17 +1098,13 @@ void replayed_collectives(Comm& comm, Xoshiro256& rng,
     jitter();
     std::vector<double> fsum(len_of(double{}));
     for (auto& x : fsum) x = rng.uniform() * 1e6 - 5e5;
-    record(allreduce(comm, std::move(fsum), std::plus<double>{}),
-           [&](double x) { u64(std::bit_cast<std::uint64_t>(x)); });
+    record(allreduce(comm, std::move(fsum), std::plus<double>{}), float_bits);
 
     jitter();
     std::vector<Affine> maps(len_of(Affine{}));
     for (std::size_t i = 0; i < maps.size(); ++i)
       maps[i] = affine_input(me + 1000 * step, i);
-    record(allreduce(comm, std::move(maps), then), [&](const Affine& f) {
-      u64(f.a);
-      u64(f.b);
-    });
+    record(allreduce(comm, std::move(maps), then), affine);
 
     jitter();
     std::vector<Slot64> slots(len_of(Slot64{}));
@@ -1082,6 +1123,42 @@ void replayed_collectives(Comm& comm, Xoshiro256& rng,
     std::vector<std::int64_t> scan(len_of(std::int64_t{}));
     for (auto& x : scan) x = static_cast<std::int64_t>(rng() % 1000);
     record(exscan_add(comm, scan),
+           [&](std::int64_t x) { u64(static_cast<std::uint64_t>(x)); });
+  }
+  {
+    jitter();
+    std::vector<Wide<Affine>> maps(long_allreduce_min<Wide<Affine>>(comm));
+    if (p >= 2) {
+      EXPECT_LT(maps.size(), std::size_t{1} << floor_log2(
+                                 static_cast<std::uint64_t>(p)));
+    }
+    for (std::size_t i = 0; i < maps.size(); ++i)
+      maps[i] = widen_input<Affine>(affine_input)(me + 1000 * step, i);
+    record(allreduce(comm, std::move(maps), widen<Affine>(then)),
+           [&](const Wide<Affine>& w) { record(w.e, affine); });
+
+    jitter();
+    std::vector<Wide<double>> fsum(long_allreduce_min<Wide<double>>(comm));
+    for (auto& w : fsum)
+      for (auto& x : w.e) x = rng.uniform() * 1e6 - 5e5;
+    record(allreduce(comm, std::move(fsum), widen<double>(std::plus<double>{})),
+           [&](const Wide<double>& w) { record(w.e, float_bits); });
+  }
+  for (const bool is_long : {false, true}) {
+    // f: the prefix sums of the sum.
+    jitter();
+    std::vector<std::int64_t> sum(is_long
+                                      ? long_allreduce_min<std::int64_t>(comm)
+                                      : short_allreduce_max<std::int64_t>(comm));
+    for (auto& x : sum) x = static_cast<std::int64_t>(rng() % 1000);
+    const auto prefix = allreduce_then(
+        comm, std::move(sum), std::plus<std::int64_t>{},
+        [](const std::vector<std::int64_t>& total) {
+          std::vector<std::int64_t> out(total.size());
+          std::partial_sum(total.begin(), total.end(), out.begin());
+          return out;
+        });
+    record(*prefix,
            [&](std::int64_t x) { u64(static_cast<std::uint64_t>(x)); });
   }
   for (const std::uint64_t max_len : {5, 40}) {
@@ -1146,8 +1223,9 @@ TEST(FastForward, ReplaysMatchMessagePath) {
 }
 
 TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
-  // Every PE but the last enters a fast-forwarded allreduce, exscan or
-  // allgather_merge and parks; the last waits on a message nobody sends.
+  // Every PE but the last enters a fast-forwarded allreduce (short or
+  // long), exscan or allgather_merge and parks; the last waits on a message
+  // nobody sends.
   // The host then aborts the run, which wakes the parked members and the
   // waiter. The waiter enters the collective after the abort, so it is the
   // last arriver: it must throw RunAborted instead of replaying over the
@@ -1157,7 +1235,8 @@ TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
   for (const Backend& backend : backends({1, 3})) {
     ScopedEnv workers("PMPS_FIBER_WORKERS",
                       std::to_string(backend.workers).c_str());
-    for (const std::string op : {"allreduce", "exscan", "allgather_merge"}) {
+    for (const std::string op :
+         {"allreduce", "long allreduce", "exscan", "allgather_merge"}) {
       const std::string what = describe(backend, kP) + " " + op;
       Engine engine(kP, noisy_machine(), 31, backend.kind);
       std::atomic<int> parking{0}, unwound{0}, returned{0}, combines{0};
@@ -1171,12 +1250,15 @@ TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
         }
         comm.charge(1e-6 * (comm.rank() + 1));
         entry_clock[static_cast<std::size_t>(comm.rank())] = comm.now();
-        std::vector<std::int64_t> v(16, comm.rank());
+        std::vector<std::int64_t> v(
+            op == "long allreduce" ? long_allreduce_min<std::int64_t>(comm)
+                                   : 16,
+            comm.rank());
         try {
           parking.fetch_add(1);
           if (op == "exscan") {
             v = exscan_add(comm, v);
-          } else if (op == "allreduce") {
+          } else if (op != "allgather_merge") {
             v = allreduce(comm, std::move(v),
                           [&](std::int64_t a, std::int64_t b) {
                             combines.fetch_add(1);
@@ -1231,6 +1313,82 @@ TEST(FastForward, AbortWhileParkedInReplayUnwindsEveryPe) {
       };
       Engine fresh(kP, noisy_machine(), 31, backend.kind);
       EXPECT_TRUE(clean_run(engine) == clean_run(fresh)) << what;
+    }
+  }
+}
+
+TEST(AllreduceThen, DerivesOncePerCommunicatorOnTheReplay) {
+  // f (here: the prefix sums of the sum) runs once per communicator on the
+  // replay, which hands every member the same object, and once per PE on
+  // messages (under the neutral base NetworkModel). Both paths give every
+  // member the prefix sums of its communicator's sum, on the short and the
+  // long schedule, on the world and on its two halves.
+  const auto input = [](int pe, std::size_t i) {
+    return static_cast<std::int64_t>(
+        mix64(static_cast<std::uint64_t>(pe) * 1000003u + i) % 1000);
+  };
+  for (const Backend& backend : backends({1, 3})) {
+    ScopedEnv workers("PMPS_FIBER_WORKERS",
+                      std::to_string(backend.workers).c_str());
+    for (const int p : {1, 2, 5, 8, 64}) {
+      for (const int groups : {1, 2}) {
+        if (p % groups != 0) continue;
+        const int q = p / groups;
+        for (const bool is_long : {false, true}) {
+          const std::string what = describe(backend, p) + " groups=" +
+                                   std::to_string(groups) +
+                                   (is_long ? " long" : " short");
+          std::vector<std::vector<std::int64_t>> by_path[2];
+          for (const bool fast_forward : {true, false}) {
+            MachineParams m = MachineParams::supermuc_like();
+            if (!fast_forward) m.model = std::make_shared<net::NetworkModel>();
+            Engine engine(p, m, 7, backend.kind);
+            std::atomic<int> calls{0};
+            std::vector<const void*> object(static_cast<std::size_t>(p));
+            auto& got = by_path[fast_forward ? 0 : 1];
+            got.assign(static_cast<std::size_t>(p), {});
+            engine.run([&](Comm& world) {
+              const int me = world.rank();
+              Comm comm = world.split_consecutive(groups);
+              std::vector<std::int64_t> v(
+                  is_long ? long_allreduce_min<std::int64_t>(comm)
+                          : short_allreduce_max<std::int64_t>(comm));
+              for (std::size_t i = 0; i < v.size(); ++i) v[i] = input(me, i);
+              const auto derived = allreduce_then(
+                  comm, std::move(v), std::plus<std::int64_t>{},
+                  [&calls](const std::vector<std::int64_t>& sum) {
+                    calls.fetch_add(1);
+                    std::vector<std::int64_t> prefix(sum.size());
+                    std::partial_sum(sum.begin(), sum.end(), prefix.begin());
+                    return prefix;
+                  });
+              object[static_cast<std::size_t>(me)] = derived.get();
+              got[static_cast<std::size_t>(me)] = *derived;
+            });
+            EXPECT_EQ(calls.load(), fast_forward && q >= 2 ? groups : p)
+                << what;
+            EXPECT_EQ(engine.report().engine.collective_fast_forwards,
+                      fast_forward && q >= 2 ? groups : 0)
+                << what;
+            for (int pe = 0; pe < p; ++pe) {
+              const auto& mine = got[static_cast<std::size_t>(pe)];
+              EXPECT_FALSE(mine.empty()) << what;
+              std::int64_t acc = 0;
+              for (std::size_t i = 0; i < mine.size(); ++i) {
+                for (int r = pe - pe % q; r < pe - pe % q + q; ++r)
+                  acc += input(r, i);
+                ASSERT_EQ(mine[i], acc) << what << " pe=" << pe << " i=" << i;
+              }
+              if (fast_forward && q >= 2) {
+                EXPECT_EQ(object[static_cast<std::size_t>(pe)],
+                          object[static_cast<std::size_t>(pe - pe % q)])
+                    << what << " pe=" << pe;
+              }
+            }
+          }
+          EXPECT_EQ(by_path[0], by_path[1]) << what;
+        }
+      }
     }
   }
 }

@@ -205,21 +205,31 @@ INSTANTIATE_TEST_SUITE_P(BucketCounts, PartitionBuckets,
                          ::testing::Values(2, 3, 4, 7, 8, 16, 31, 64, 100));
 
 TEST(PartitionBuckets, MatchesBruteForceClassification) {
-  Xoshiro256 rng(5);
-  std::vector<std::uint64_t> input(500);
-  for (auto& v : input) v = rng.bounded(100);
-  std::vector<std::uint64_t> keys{10, 20, 50, 80};
-  auto cls = BucketClassifier<std::uint64_t>(make_splitters(keys));
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    const int b = cls.classify(input[i], 1, static_cast<std::int64_t>(i));
-    // brute force: count splitters tagged-less than (v,1,i)
-    const TaggedKey<std::uint64_t> tx{input[i], 1, static_cast<std::int64_t>(i)};
-    int expect = 0;
-    for (std::size_t s = 0; s < keys.size(); ++s) {
-      const TaggedKey<std::uint64_t> ts{keys[s], 0, static_cast<std::int64_t>(s)};
-      if (ts < tx) ++expect;
+  // Splitter counts on both sides of the padded tree's powers of two, with
+  // about two splitters per key, and elements whose tags interleave with
+  // the splitters' (even indices for splitters, odd for elements), so that
+  // elements equal to a splitter key land on both sides of it.
+  for (const int count : {1, 2, 3, 7, 8, 9, 255, 256, 4095}) {
+    Xoshiro256 rng(5 + static_cast<std::uint64_t>(count));
+    const auto keys = static_cast<std::uint64_t>(count / 2 + 2);
+    std::vector<TaggedKey<std::uint64_t>> sp;
+    for (int j = 0; j < count; ++j)
+      sp.push_back({rng.bounded(keys), 0,
+                    2 * static_cast<std::int64_t>(rng.bounded(1000))});
+    std::sort(sp.begin(), sp.end());
+    auto cls = BucketClassifier<std::uint64_t>(sp);
+    for (std::int64_t i = 0; i < 2000; ++i) {
+      const std::uint64_t v = rng.bounded(keys + 2);
+      const std::int64_t index = 2 * (i % 1000) + 1;
+      const int b = cls.classify(v, 0, index);
+      // brute force: count splitters tagged-less than (v, 0, index)
+      const TaggedKey<std::uint64_t> tx{v, 0, index};
+      int expect = 0;
+      for (const auto& ts : sp)
+        if (ts < tx) ++expect;
+      ASSERT_EQ(b, expect) << "splitters=" << count << " v=" << v
+                           << " index=" << index;
     }
-    EXPECT_EQ(b, expect) << "v=" << input[i];
   }
 }
 
